@@ -1,20 +1,12 @@
-"""Static-analysis benchmark: fixpoint costs and discharge impact.
+"""Static-analysis benchmark: fixpoint costs and facts found.
 
-Measures, per bundled benchmark circuit:
-
-* **analyze** — wall time of a cold :func:`repro.analyze.analyze_network`
-  pass over the mapped original, plus the per-analysis fixpoint costs
-  (iterations, transfer applications, seconds) the engine reports
-  about itself, and the headline facts it found (constants, dead
-  cones, SDC cubes, structural duplicates).
-* **static_discharge** — the share of per-PO implication checks
-  (paper Sec 2.2) the static rung resolves during a real *uncached*
-  CED flow, before any BDD/SAT checker is built.  This is the same
-  counter :mod:`benchmarks.check_flow_regression` gates on for i10.
-* **flow_delta** — uncached flow wall time with the static rung on vs
-  off.  The two results are asserted bit-identical (``summary()``
-  equality): the rung must change *where proofs come from*, never
-  what gets synthesized.
+Measures, per bundled benchmark circuit, the wall time of a cold
+:func:`repro.analyze.analyze_network` pass, plus the per-analysis
+fixpoint costs (iterations, transfer applications, seconds) the engine
+reports about itself, and the headline facts it found (constants, dead
+cones, SDC cubes, structural duplicates).  The analyses serve
+``repro.lint`` and ``repro.cli analyze``; the CED flow does not run
+them, so there is no flow timing here.
 
 Run as a script (no PYTHONPATH needed)::
 
@@ -36,29 +28,14 @@ if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
 from repro.analyze import NetworkAnalyses, analyze_network
-from repro.approx import ApproxConfig
 from repro.bdd import bdd_engine
 from repro.bench.suite import TABLE2_SPECS, load_benchmark, tiny_benchmark
-from repro.ced.flow import run_ced_flow
-from repro.flow import AnalysisContext
 
 DEFAULT_OUT = ROOT / "BENCH_analyze.json"
-
-#: Flow parameters matching bench_flowperf (the identity-check config).
-FLOW_KW = dict(reliability_words=2, coverage_words=2, seed=2008)
 
 
 def _load(name: str):
     return tiny_benchmark() if name == "tiny" else load_benchmark(name)
-
-
-def _run_flow(name: str, static: bool):
-    config = ApproxConfig(seed=FLOW_KW["seed"],
-                          static_discharge=static)
-    t0 = time.perf_counter()
-    flow = run_ced_flow(_load(name), config=config,
-                        ctx=AnalysisContext(enabled=False), **FLOW_KW)
-    return time.perf_counter() - t0, flow
 
 
 def bench_circuit(name: str) -> dict:
@@ -68,16 +45,6 @@ def bench_circuit(name: str) -> dict:
     bundle = NetworkAnalyses(network)
     doc = analyze_network(network, bundle)
     analyze_seconds = time.perf_counter() - t0
-
-    t_on, flow_on = _run_flow(name, static=True)
-    t_off, flow_off = _run_flow(name, static=False)
-    if flow_on.summary() != flow_off.summary():
-        raise AssertionError(
-            f"{name}: flow summary changed with static discharge off — "
-            f"the static rung must be behavior-neutral")
-
-    static = flow_on.trace.cache_totals().get("static", {})
-    attempts = static.get("hits", 0) + static.get("misses", 0)
     return {
         "nodes": int(network.num_nodes),
         "analyze_seconds": round(analyze_seconds, 4),
@@ -88,17 +55,6 @@ def bench_circuit(name: str) -> dict:
             "sdc_cubes": doc["sdc_cubes"]["cubes"],
             "structural_duplicates": len(doc["structural_duplicates"]),
             "unread_fanin_positions": doc["unread_fanins"]["positions"],
-        },
-        "static_discharge": {
-            "discharged": static.get("hits", 0),
-            "attempts": attempts,
-            "rate": round(static.get("hits", 0) / attempts, 3)
-            if attempts else 0.0,
-        },
-        "flow_delta": {
-            "static_on_seconds": round(t_on, 3),
-            "static_off_seconds": round(t_off, 3),
-            "speedup": round(t_off / t_on, 2) if t_on else 0.0,
         },
     }
 
@@ -126,21 +82,17 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "bdd_engine": bdd_engine(),
             "quick": bool(args.quick),
-            "flow_kw": dict(FLOW_KW),
         },
         "circuits": {},
     }
     for name in names:
         entry = bench_circuit(name)
         report["circuits"][name] = entry
-        disch = entry["static_discharge"]
-        delta = entry["flow_delta"]
+        facts = entry["facts"]
         print(f"{name:8s} {entry['nodes']:5d} nodes  "
               f"analyze {entry['analyze_seconds']:7.3f}s  "
-              f"discharge {disch['discharged']:5d}/{disch['attempts']:5d} "
-              f"({disch['rate']:.0%})  "
-              f"flow {delta['static_off_seconds']:.2f}s -> "
-              f"{delta['static_on_seconds']:.2f}s")
+              f"constants {facts['constants']:4d}  "
+              f"duplicates {facts['structural_duplicates']:4d}")
 
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True)
                         + "\n")

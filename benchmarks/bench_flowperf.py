@@ -129,16 +129,8 @@ def bench_circuit(name: str, reps: int, warmup: int) -> dict:
             raise AssertionError(
                 f"{name}: warm {label} flow diverged from the fresh "
                 f"flow — caching must be bit-identical")
-    static = flow_off.trace.cache_totals().get("static", {})
-    attempts = static.get("hits", 0) + static.get("misses", 0)
     return {
         "gates": int(flow_on.original_mapped.gate_count),
-        "static_discharge": {
-            "discharged": static.get("hits", 0),
-            "attempts": attempts,
-            "rate": round(static.get("hits", 0) / attempts, 3)
-            if attempts else 0.0,
-        },
         "uncached_seconds": round(t_off, 3),
         "cached_seconds": round(t_on, 3),
         "proof_serve_seconds": round(t_serve, 3),
@@ -202,8 +194,7 @@ def main(argv=None) -> int:
               f"x{entry['speedup']:.2f}  "
               f"(proof-serve {entry['proof_serve_seconds']:.2f}s, "
               f"hits {proofs.get('hits', 0)}/"
-              f"{proofs.get('hits', 0) + proofs.get('misses', 0)}, "
-              f"static {entry['static_discharge']['rate']:.0%})")
+              f"{proofs.get('hits', 0) + proofs.get('misses', 0)})")
 
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True)
                         + "\n")

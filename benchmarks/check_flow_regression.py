@@ -12,12 +12,6 @@ measured from the *uncached* runs::
 A machine twice as slow as the baseline box gets twice the budget; a
 genuinely regressed warm path fails on both.
 
-The gate also enforces a *static-discharge coverage floor* on the
-fresh uncached run (see ``MIN_STATIC_DISCHARGE``): the static rung of
-the proof ladder must keep resolving at least its floored share of PO
-implication checks, so silently disabling or weakening the analyzer
-fails CI even when timings look fine.
-
 Run as a script (CI invokes it after the quick bench)::
 
     python benchmarks/bench_flowperf.py --circuits i10 --out /tmp/f.json
@@ -36,13 +30,6 @@ BASELINE = ROOT / "BENCH_flow.json"
 
 #: Circuits the gate watches (the acceptance-critical warm paths).
 GATE_CIRCUITS = ("i10",)
-
-#: Minimum fraction of PO implication checks the static-discharge rung
-#: must resolve in the *uncached* flow, per gated circuit.  This is a
-#: coverage floor, not a perf number: if a change quietly disables the
-#: static rung (or weakens its relational pass), the rate collapses and
-#: the gate catches it even though wall-clock barely moves.
-MIN_STATIC_DISCHARGE = {"i10": 0.15}
 
 
 def check(baseline: dict, fresh: dict, tolerance: float,
@@ -66,20 +53,6 @@ def check(baseline: dict, fresh: dict, tolerance: float,
                 f"allowed {allowed:.3f}s (baseline "
                 f"{base['cached_seconds']:.3f}s, machine scale "
                 f"x{scale:.2f}, tolerance {tolerance:.0%})")
-        floor = MIN_STATIC_DISCHARGE.get(name)
-        if floor is not None:
-            static = now.get("static_discharge")
-            if static is None:
-                failures.append(
-                    f"{name}: fresh report has no static_discharge "
-                    f"record (regenerate with current "
-                    f"bench_flowperf.py)")
-            elif static["rate"] < floor:
-                failures.append(
-                    f"{name}: static discharge rate "
-                    f"{static['rate']:.1%} "
-                    f"({static['discharged']}/{static['attempts']} PO "
-                    f"implications) below the {floor:.0%} floor")
     return failures
 
 

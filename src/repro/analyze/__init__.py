@@ -6,8 +6,9 @@ domains the flow consumes (:mod:`repro.analyze.domains`): constant
 propagation, unateness/parity masks, signal-probability interval
 bounds, structural hashing, and observability (ODC) masks.
 :class:`NetworkAnalyses` bundles the solutions per network version;
-:class:`StaticDischarger` turns them into per-PO implication proofs for
-the guard ladder's ``static`` rung.
+:class:`StaticDischarger` turns them into per-PO implication proofs.
+The consumers are :mod:`repro.lint` and ``repro.cli analyze``; the
+synthesis flow does not run these analyses.
 """
 
 from .context import (ANALYZE_SCHEMA, NetworkAnalyses, analyze_network,

@@ -3,9 +3,8 @@
 :class:`NetworkAnalyses` runs each domain at most once per network
 version and exposes the solutions as cached properties; the
 :class:`~repro.flow.AnalysisContext` memoizes whole bundles by object
-identity + mutation version (and counts hits under the ``"static"``
-cache kind), so repair loops re-analyze only when the approx actually
-mutated — and then incrementally, via the fixpoint engine's
+identity + mutation version, so lint re-analyzes only when a network
+actually mutated — and then incrementally, via the fixpoint engine's
 ``update`` path.
 
 :func:`analyze_network` distills a bundle into the JSON summary served

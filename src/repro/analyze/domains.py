@@ -3,9 +3,8 @@
 Every analysis here is *sound by over-approximation*: a definite answer
 (constant value, unateness direction, probability bound, structural
 equality, unobservability) is a theorem about the circuit; "top" only
-ever means "unknown".  That is what lets the static-discharge rung and
-the analysis-backed lint rules act on these results without changing
-any flow verdict.
+ever means "unknown".  That is what lets the static implication proofs
+and the analysis-backed lint rules act on these results soundly.
 
 Domains:
 

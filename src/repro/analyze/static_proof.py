@@ -23,9 +23,10 @@ abstract interpretation — no BDD node, no SAT clause:
    proves direction 0.
 
 Every positive or negative answer is a theorem (the analyses only ever
-over-approximate toward "unknown"), so discharging a check statically
-can never change a flow verdict — the bit-identity property the
-benchmarks assert.
+over-approximate toward "unknown").  :mod:`repro.lint` uses them for
+``"static"`` certificates and its pair rules.  The synthesis flow does
+not: its checker builds the pair BDDs anyway, so a discharged query
+would only skip one cheap ``implies``.
 """
 
 from __future__ import annotations

@@ -184,11 +184,6 @@ class ApproxConfig:
     sim_check_words: int = 64
     #: Attempt ODC-based cube selection before exact selection in repair.
     odc_in_repair: bool = True
-    #: Discharge implication checks with the repro.analyze dataflow
-    #: analyses before any proving engine runs.  Static verdicts are
-    #: theorems of the analyses, so results are bit-identical either
-    #: way; off disables the rung (and its counters) entirely.
-    static_discharge: bool = True
     #: Safety bound on check-repair rounds before restoring exact cones.
     max_repair_rounds: int = 64
 

@@ -26,17 +26,13 @@ engine at all.  Each rung is recorded in the budget's
 :class:`~repro.guard.BudgetReport`; with no budget, every code path is
 bit-identical to the ungoverned flow.
 
-Above the whole ladder sits the *static-discharge rung* (DESIGN.md
-§15): :class:`repro.analyze.StaticDischarger` decides implication
-queries by constant/containment/relational dataflow analysis — no BDD
-node, no SAT clause.  Static verdicts are theorems of the analyses, so
-the rung is behavior-neutral (``ApproxConfig.static_discharge`` turns
-it off, bit-identically) — even over the *statistical* checker: a
-discharged implication has no violating vector, so the simulator would
-also answer True, and a static refutation is a constant conflict
-violated on every vector, so the simulator would also answer False.
-Chaos-rigged budgets bypass the rung so fault drills still exercise
-the proving engines.
+Every check goes straight to a proving engine (or the statistical
+checker).  ``repro.analyze`` serves ``repro.lint`` and ``repro.cli
+analyze`` only: as a static-discharge rung in front of the checker,
+each query it answered skipped just one cheap ``implies`` on pair BDDs
+that were already built.  On a 2-vCPU VM, a cold dalu + i10 round took
+27.4 s with the rung and 16.0 s without it (x1 + i2 + frg2: 8.6 s vs
+6.1 s), with identical flow results (DESIGN.md §15).
 """
 
 from __future__ import annotations
@@ -46,12 +42,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analyze import REL_EQ, StaticDischarger
 from repro.bdd import BddOverflowError
 from repro.cubes import Cover, minimize
 from repro.guard import Budget, DeadlineExceeded
-from repro.lab.proofs import (EXACT_ENGINES, STATIC_ENGINE,
-                              TRUSTED_ENGINES, ConeFingerprinter,
+from repro.lab.proofs import (EXACT_ENGINES, ConeFingerprinter,
                               cone_payload, implication_key,
                               proof_workers, prove_implications)
 from repro.network import (Network, eliminate, propagate_constants,
@@ -139,51 +133,28 @@ def synthesize_approximation(network: Network,
         if budget is not None:
             budget.check_deadline("synthesize entry")
         # Cross-process proof cache: per-PO implication verdicts keyed
-        # by cone fingerprint.  Only trusted (BDD/SAT/static) verdicts
-        # are served or stored, and chaos-rigged budgets bypass it
-        # entirely, so every flow stays bit-identical with a cold or
-        # warm cache.
+        # by cone fingerprint.  Only exact (BDD/SAT) verdicts are served
+        # or stored, and chaos-rigged budgets bypass it entirely, so
+        # every flow stays bit-identical with a cold or warm cache.
         proofs = getattr(ctx, "proofs", None)
         if config.check == "sim" or (budget is not None
                                      and budget.report.chaos):
             proofs = None
-        # Static-discharge rung (repro.analyze): decides implications by
-        # dataflow analysis alone.  Sound over every engine, including
-        # the statistical checker (see the module docstring), but
-        # disabled for chaos drills, which must exercise the proving
-        # engines themselves.
-        use_static = (config.static_discharge
-                      and not (budget is not None
-                               and budget.report.chaos))
         fingerprints = ConeFingerprinter() if proofs is not None else None
-
-        def _rewrap(c):
-            if isinstance(c, _StaticChecker):
-                return c
-            c = _wrap_proofs(c, proofs, fingerprints)
-            if use_static and getattr(c, "method", None) \
-                    in _STATIC_WRAPPABLE:
-                return _StaticChecker(c, types, ctx, proofs, fingerprints)
-            return c
-
         served = None
         if proofs is not None:
             _preprove_parallel(network, approx, output_approximations,
-                               proofs, fingerprints, config, budget,
-                               static=StaticDischarger(
-                                   network, approx,
-                                   ctx.analyses(network),
-                                   ctx.analyses(approx))
-                               if use_static else None)
+                               proofs, fingerprints, config, budget)
             served = _serve_cached_proofs(network, approx,
                                           output_approximations,
                                           proofs, fingerprints, budget)
         if served is not None:
             correctness, check_method = served
         else:
-            checker = _rewrap(
+            checker = _wrap_proofs(
                 _make_checker(network, approx, output_approximations,
-                              types, config, ctx, budget))
+                              types, config, ctx, budget),
+                proofs, fingerprints)
             max_rounds = config.max_repair_rounds if budget is None \
                 else budget.repair_cap(config.max_repair_rounds)
             while rounds < max_rounds:
@@ -202,10 +173,11 @@ def synthesize_approximation(network: Network,
                     for po in incorrect:
                         _restore_cone(network, approx, po)
                         restored.append(po)
-                    checker = _rewrap(
+                    checker = _wrap_proofs(
                         _safe_refresh(checker, network, approx,
                                       output_approximations, types,
-                                      config, budget))
+                                      config, budget),
+                        proofs, fingerprints)
                     continue
                 for name in sources:
                     stage = repair_stage.get(name, 0)
@@ -213,26 +185,26 @@ def synthesize_approximation(network: Network,
                                           stage, config)
                     repaired[name] = action
                     repair_stage[name] = stage + 1
-                checker = _rewrap(
+                checker = _wrap_proofs(
                     _safe_refresh(checker, network, approx,
                                   output_approximations, types,
-                                  config, budget))
+                                  config, budget),
+                    proofs, fingerprints)
             else:
                 # Round budget exhausted: make remaining outputs exact.
                 for po in network.outputs:
                     if not checker.po_correct(po):
                         _restore_cone(network, approx, po)
                         restored.append(po)
-                checker = _rewrap(
+                checker = _wrap_proofs(
                     _safe_refresh(checker, network, approx,
                                   output_approximations, types,
-                                  config, budget))
+                                  config, budget),
+                    proofs, fingerprints)
 
             correctness = {po: checker.po_correct(po)
                            for po in network.outputs}
             check_method = checker.method
-            if budget is not None and isinstance(checker, _StaticChecker):
-                checker.record_rung(budget)
     except (BddOverflowError, SatBudgetExhausted,
             DeadlineExceeded) as exc:
         if budget is None:
@@ -705,7 +677,7 @@ class _ProofCachedChecker:
         key = implication_key(self._fp, inner.network, inner.approx,
                               po, direction)
         entry = self._proofs.get(key)
-        if entry is not None and entry.get("engine") in TRUSTED_ENGINES:
+        if entry is not None and entry.get("engine") in EXACT_ENGINES:
             return bool(entry["holds"])
         ok = inner.po_correct(po)
         self._proofs.put(key, {
@@ -718,130 +690,6 @@ def _wrap_proofs(checker, proofs, fingerprints):
     if proofs is None or isinstance(checker, _ProofCachedChecker):
         return checker
     return _ProofCachedChecker(checker, proofs, fingerprints)
-
-
-#: Checker methods the static rung may wrap.  The exact engines are
-#: trivially safe (two sound provers agree).  The statistical checker
-#: is safe too, per-query: its vectors are fixed at construction (not
-#: a stream a skipped query would shift), a discharged implication has
-#: no violating vector for the simulator to find, and a static
-#: refutation is a constant conflict every vector violates.
-_STATIC_WRAPPABLE = tuple(EXACT_ENGINES) + ("sim",)
-
-
-class _StaticChecker:
-    """The static-discharge rung, wrapped around the whole ladder.
-
-    Implication queries the :class:`repro.analyze.StaticDischarger` can
-    decide never reach the proof cache or a proving engine; everything
-    else delegates unchanged.  Static verdicts are theorems of the
-    dataflow analyses, so wrapping is behavior-neutral — the rung only
-    changes *how fast* an answer arrives, never the answer (see
-    ``_STATIC_WRAPPABLE`` for why that holds even over the statistical
-    checker).  Discharged PO verdicts are stored in the cross-process
-    proof cache under the ``"static"`` engine so warm runs and lint
-    re-verification share them; per-node repair queries are counted
-    but not cached (their cones rarely repeat).
-    """
-
-    def __init__(self, inner, types: dict[str, NodeType],
-                 ctx: AnalysisContext, proofs, fingerprints):
-        self._inner = inner
-        self._types = types
-        self._ctx = ctx
-        self._proofs = proofs
-        self._fp = fingerprints
-        self._disch = StaticDischarger(
-            inner.network, inner.approx,
-            original_analyses=ctx.analyses(inner.network),
-            approx_analyses=ctx.analyses(inner.approx))
-        self.po_attempts = self.po_discharged = 0
-        self.node_attempts = self.node_discharged = 0
-
-    @property
-    def method(self) -> str:
-        return self._inner.method
-
-    @property
-    def network(self) -> Network:
-        return self._inner.network
-
-    @property
-    def approx(self) -> Network:
-        return self._inner.approx
-
-    @property
-    def directions(self) -> dict[str, int]:
-        return self._inner.directions
-
-    def refresh(self) -> None:
-        # The discharger's analyses re-solve lazily (they watch the
-        # network versions themselves), so only the engine refreshes.
-        self._inner.refresh()
-
-    def po_correct(self, po: str) -> bool:
-        inner = self._inner
-        if inner.network.is_input(po):
-            return True
-        if inner.method not in _STATIC_WRAPPABLE:
-            return inner.po_correct(po)
-        direction = 1 if inner.directions[po] == 1 else 0
-        self.po_attempts += 1
-        proof = self._disch.implication(po, direction)
-        if proof.holds is None:
-            self._ctx._miss("static")
-            return inner.po_correct(po)
-        self.po_discharged += 1
-        self._ctx._hit("static")
-        if self._proofs is not None:
-            key = implication_key(self._fp, inner.network, inner.approx,
-                                  po, direction)
-            self._proofs.put(key, {
-                "kind": "implication", "po": po, "direction": direction,
-                "holds": bool(proof.holds), "engine": STATIC_ENGINE})
-        return proof.holds
-
-    def node_correct(self, name: str) -> bool:
-        inner = self._inner
-        if inner.method not in _STATIC_WRAPPABLE:
-            return inner.node_correct(name)
-        node_type = self._types[name]
-        if node_type is NodeType.DC:
-            return inner.node_correct(name)
-        self.node_attempts += 1
-        if node_type is NodeType.EX:
-            # Exact nodes need cone *equality*; static can only confirm
-            # it (EQ is a theorem), never refute it.
-            if self._disch.relations().get(name) == REL_EQ \
-                    or self._static_equal(name):
-                self.node_discharged += 1
-                self._ctx._hit("static_node")
-                return True
-            self._ctx._miss("static_node")
-            return inner.node_correct(name)
-        direction = 1 if node_type is NodeType.ONE else 0
-        proof = self._disch.implication(name, direction)
-        if proof.holds is None:
-            self._ctx._miss("static_node")
-            return inner.node_correct(name)
-        self.node_discharged += 1
-        self._ctx._hit("static_node")
-        return proof.holds
-
-    def _static_equal(self, name: str) -> bool:
-        return name in self._inner.approx.nodes \
-            and self._disch._structurally_equal(name)
-
-    def record_rung(self, budget: Budget) -> None:
-        """One informational ladder event summarizing the rung's work."""
-        if not (self.po_discharged or self.node_discharged):
-            return
-        budget.report.rung(
-            STATIC_ENGINE, "assisted",
-            po_discharged=self.po_discharged,
-            po_attempts=self.po_attempts,
-            node_discharged=self.node_discharged,
-            node_attempts=self.node_attempts)
 
 
 def _serve_cached_proofs(network: Network, approx: Network,
@@ -865,20 +713,14 @@ def _serve_cached_proofs(network: Network, approx: Network,
         key = implication_key(fingerprints, network, approx, po,
                               direction)
         entry = proofs.get(key)
-        if entry is None or entry.get("engine") not in TRUSTED_ENGINES \
+        if entry is None or entry.get("engine") not in EXACT_ENGINES \
                 or not entry.get("holds"):
             return None
         correctness[po] = True
         engines.add(entry["engine"])
-    # Attribute the run to the strongest engine that contributed: an
-    # all-static serve is the static rung's own fast path; any BDD
-    # involvement claims "bdd"; SAT only when SAT actually proved one.
-    if engines <= {STATIC_ENGINE}:
-        method = STATIC_ENGINE
-    elif engines <= {"bdd", STATIC_ENGINE}:
-        method = "bdd"
-    else:
-        method = "sat"
+    # Attribute the run to the strongest engine that contributed: "bdd"
+    # unless SAT actually proved one.
+    method = "bdd" if engines <= {"bdd"} else "sat"
     if budget is not None:
         budget.report.rung(method, "selected", proof_cache=True)
     return correctness, method
@@ -887,32 +729,14 @@ def _serve_cached_proofs(network: Network, approx: Network,
 def _preprove_parallel(network: Network, approx: Network,
                        output_approximations: dict[str, int],
                        proofs, fingerprints, config: ApproxConfig,
-                       budget: Budget | None, static=None) -> None:
+                       budget: Budget | None) -> None:
     """Prove uncached PO implications concurrently before the checker
     is built (``REPRO_PROOF_WORKERS`` > 0).
 
     Each worker proves one independent PO cone pair with budget-capped
     BDDs; undecided cones (overflow/deadline in the worker) are simply
     left uncached and handled by the in-process degradation ladder.
-    With a ``static`` discharger, statically decidable implications are
-    cached up front and never shipped to a worker at all.
     """
-    if static is not None:
-        for po in network.outputs:
-            if network.is_input(po):
-                continue
-            direction = 1 if output_approximations[po] == 1 else 0
-            key = implication_key(fingerprints, network, approx, po,
-                                  direction)
-            if proofs.get(key) is not None:
-                continue
-            verdict = static.implication(po, direction)
-            if verdict.holds is not None:
-                proofs.put(key, {
-                    "kind": "implication", "po": po,
-                    "direction": direction,
-                    "holds": bool(verdict.holds),
-                    "engine": STATIC_ENGINE})
     workers = proof_workers()
     if workers <= 0 or config.check not in ("auto", "bdd"):
         return

@@ -29,13 +29,14 @@ from repro.network import GlobalBdds, Network, dfs_input_order
 from repro.sim import (get_simulator, signal_probabilities,
                        simulator_cache_stats, switching_activity)
 
-#: Artifact kinds tracked by the hit/miss counters.  ``static`` counts
-#: per-PO implication queries answered by the repro.analyze discharge
-#: rung (hit = discharged, miss = fell through to an engine);
-#: ``static_node`` counts the same for per-node repair-loop queries.
+#: Artifact kinds tracked by the hit/miss counters.  There is no
+#: static-discharge kind: ``repro.analyze`` serves lint and ``cli
+#: analyze`` only, because on the flow path each discharged query just
+#: skipped one cheap ``implies`` on pair BDDs that already existed
+#: (cold dalu + i10: 27.4 s with the rung, 16.0 s without; DESIGN.md
+#: §15).
 CACHE_KINDS = ("global_bdds", "simulator", "probabilities",
-               "switching", "checkpoint", "proofs", "static",
-               "static_node")
+               "switching", "checkpoint", "proofs")
 
 
 def _serialize_circuit(circuit) -> str:
@@ -109,7 +110,7 @@ class AnalysisContext:
         #: verdicts; ``None`` (the default) keeps flows hermetic.
         self.proofs = None
         #: Per-object memo of :class:`repro.analyze.NetworkAnalyses`
-        #: bundles (the static-discharge rung's dataflow solutions).
+        #: bundles (the dataflow solutions lint rules share).
         self._analyses: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------

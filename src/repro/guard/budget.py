@@ -30,14 +30,13 @@ from dataclasses import dataclass, field
 BUDGET_REPORT_SCHEMA = 1
 
 #: Engines a ladder rung may name, in degradation order.  ``static``
-#: (the repro.analyze discharge rung) sits above the proving engines:
-#: implications it answers never reach BDD or SAT at all.
+#: is no longer emitted (the repro.analyze discharge rung left the
+#: synthesis path) but stays valid so stored reports still validate.
 LADDER_ENGINES = ("static", "bdd", "sat", "sim", "conformance")
 
-#: Outcomes a ladder rung may record.  ``assisted`` marks a rung that
-#: discharged part of the work without displacing the selected engine
-#: (the static rung answering some, but not all, implication queries);
-#: it is informational and does not count as degradation.
+#: Outcomes a ladder rung may record.  ``assisted`` (the former static
+#: rung's summary of the queries it answered) is no longer emitted but
+#: stays valid for stored reports; it never counts as degradation.
 RUNG_OUTCOMES = ("selected", "assisted", "overflow", "exhausted",
                  "deadline")
 

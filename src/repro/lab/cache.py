@@ -19,6 +19,7 @@ import inspect
 import os
 import pickle
 import json
+import threading
 from pathlib import Path
 from typing import Any, Callable
 
@@ -151,6 +152,18 @@ class ArtifactStore:
 
     @staticmethod
     def _atomic_write(path: Path, blob: bytes) -> None:
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_bytes(blob)
-        os.replace(tmp, path)
+        """Temp file + ``os.replace``.  The temp name is unique per
+        process *and* thread (the ``workqueue`` backend and serve thread
+        workers put the same key from one pid), and a failed write never
+        leaves the temp file behind."""
+        tmp = path.with_name(
+            f".{path.name}.{os.getpid()}.{threading.get_ident():x}.tmp")
+        try:
+            tmp.write_bytes(blob)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                tmp.unlink()
+            except OSError:
+                pass
+            raise

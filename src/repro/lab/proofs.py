@@ -35,8 +35,7 @@ from pathlib import Path
 __all__ = ["ProofCache", "ConeFingerprinter", "implication_key",
            "pct_key", "error_key", "cone_payload", "prove_implications",
            "proof_workers", "PROOF_WORKERS_ENV", "PROOF_SCHEMA",
-           "CHECK_KIND_VERSIONS", "EXACT_ENGINES", "STATIC_ENGINE",
-           "TRUSTED_ENGINES"]
+           "CHECK_KIND_VERSIONS", "EXACT_ENGINES"]
 
 #: Bump when the entry layout or the fingerprint recipe changes.
 #: v2: keys carry the synthesis-engine name and a per-check-kind
@@ -55,15 +54,11 @@ CHECK_KIND_VERSIONS = {"implication": 1, "approx_pct": 1,
 #: ``0`` (the default) disables out-of-process proving.
 PROOF_WORKERS_ENV = "REPRO_PROOF_WORKERS"
 
-#: Engines whose verdicts are exact and therefore cacheable.
+#: Engines whose verdicts are exact and therefore cacheable; only
+#: their entries are served.  Entries from any other engine (``static``
+#: ones written before the static-discharge rung left the synthesis
+#: path) are ignored and re-proved once.
 EXACT_ENGINES = ("bdd", "sat")
-
-#: The static-discharge rung (repro.analyze): verdicts are theorems of
-#: the dataflow analyses, as trustworthy as BDD/SAT proofs.
-STATIC_ENGINE = "static"
-
-#: Every engine whose cached verdicts may be served without re-proving.
-TRUSTED_ENGINES = (*EXACT_ENGINES, STATIC_ENGINE)
 
 
 def proof_workers() -> int:

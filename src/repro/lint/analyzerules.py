@@ -8,7 +8,7 @@ nodes whose function is provably constant, cubes that can never fire,
 cones that are byte-identical duplicates, logic masked at every primary
 output.  The pair-scope rules drive the :class:`~repro.analyze.
 StaticDischarger` directly, reporting how much of the paper's Sec 2.2
-implication obligation the static rung settles — and flagging outright
+implication obligation the analyses alone settle — and flagging outright
 static *refutations* of a claimed-correct run, which are contradictions
 no budget can excuse.
 """

@@ -103,7 +103,8 @@ class PairSemantics:
             return ProofResult(True, self.method, {"trivial": True})
         static = self._static_proof(po, direction)
         if static is not None:
-            self._store_proof(po, direction, static)
+            # Not stored in the proof cache: synthesis serves only exact
+            # engines' verdicts, and the analyses re-decide this cheaply.
             return static
         cached = self._cached_proof(po, direction)
         if cached is not None:
@@ -120,7 +121,7 @@ class PairSemantics:
 
     def _static_proof(self, po: str,
                       direction: int) -> ProofResult | None:
-        """The static-discharge rung: decide by dataflow analysis alone.
+        """Decide by dataflow analysis alone, before any engine runs.
 
         Returns None when the analyses cannot decide (the engines take
         over).  A decided verdict is a theorem — these proofs are
@@ -158,9 +159,9 @@ class PairSemantics:
                       direction: int) -> ProofResult | None:
         if self._proofs is None:
             return None
-        from repro.lab.proofs import TRUSTED_ENGINES
+        from repro.lab.proofs import EXACT_ENGINES
         entry = self._proofs.get(self._proof_key(po, direction))
-        if entry is None or entry.get("engine") not in TRUSTED_ENGINES \
+        if entry is None or entry.get("engine") not in EXACT_ENGINES \
                 or entry.get("holds") is not True:
             # Refuted or undecided entries are re-proved live: a
             # certificate-grade refutation needs a fresh witness.
@@ -169,8 +170,9 @@ class PairSemantics:
 
     def _store_proof(self, po: str, direction: int,
                      proof: ProofResult) -> None:
+        from repro.lab.proofs import EXACT_ENGINES
         if self._proofs is None or proof.holds is None \
-                or proof.method not in ("bdd", "sat", "static"):
+                or proof.method not in EXACT_ENGINES:
             return
         self._proofs.put(self._proof_key(po, direction), {
             "kind": "implication", "po": po,

@@ -111,13 +111,6 @@ class CedService:
             "rejected_draining": 0, "rejected_invalid": 0,
             "warm_done": 0, "cold_done": 0,
         }
-        #: Static-discharge totals accumulated from per-job
-        #: cache_totals: implication checks answered by the
-        #: repro.analyze rung (hits) vs passed to BDD/SAT (misses).
-        self.static_totals = {
-            "po_discharged": 0, "po_attempts": 0,
-            "node_discharged": 0, "node_attempts": 0,
-        }
         self.queued = 0
         self.queue_depth_max = 0
         self.in_flight = 0
@@ -328,15 +321,6 @@ class CedService:
             self.counters["completed"] += 1
             self.counters["warm_done" if event.get("warm")
                           else "cold_done"] += 1
-            totals = event.get("cache_totals") or {}
-            for kind, prefix in (("static", "po"),
-                                 ("static_node", "node")):
-                counts = totals.get(kind) or {}
-                hits = int(counts.get("hits", 0))
-                misses = int(counts.get("misses", 0))
-                self.static_totals[f"{prefix}_discharged"] += hits
-                self.static_totals[f"{prefix}_attempts"] += \
-                    hits + misses
             job.transition("done", warm=bool(event.get("warm")),
                            flow_seconds=event.get("flow_seconds"))
             self.registry.note_finished(job)
@@ -669,5 +653,4 @@ class CedService:
             "admission": self.admission.snapshot(),
             "registry": self.registry.counts(),
             "proof_cache": proofs.stats(),
-            "static_discharge": dict(self.static_totals),
         }
