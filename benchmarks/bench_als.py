@@ -35,7 +35,6 @@ if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
 from repro.approx import ApproxConfig
-from repro.bdd import bdd_engine
 from repro.bench.suite import TABLE2_SPECS, load_benchmark, tiny_benchmark
 from repro.ced.flow import run_ced_flow
 from repro.flow import AnalysisContext
@@ -123,7 +122,6 @@ def main(argv=None) -> int:
     report = {
         "meta": {
             "python": platform.python_version(),
-            "bdd_engine": bdd_engine(),
             "quick": bool(args.quick),
             "flow_kw": dict(FLOW_KW),
             "er_bounds": list(bounds),

@@ -28,7 +28,6 @@ if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
 from repro.analyze import NetworkAnalyses, analyze_network
-from repro.bdd import bdd_engine
 from repro.bench.suite import TABLE2_SPECS, load_benchmark, tiny_benchmark
 
 DEFAULT_OUT = ROOT / "BENCH_analyze.json"
@@ -80,7 +79,6 @@ def main(argv=None) -> int:
     report = {
         "meta": {
             "python": platform.python_version(),
-            "bdd_engine": bdd_engine(),
             "quick": bool(args.quick),
         },
         "circuits": {},

@@ -46,7 +46,6 @@ ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
-from repro.bdd import bdd_engine
 from repro.bench.suite import TABLE2_SPECS, load_benchmark, tiny_benchmark
 from repro.ced.flow import run_ced_flow
 from repro.flow import AnalysisContext
@@ -168,7 +167,6 @@ def main(argv=None) -> int:
     report = {
         "meta": {
             "python": platform.python_version(),
-            "bdd_engine": bdd_engine(),
             "quick": bool(args.quick),
             "reps": int(args.reps),
             "warmup": int(args.warmup),

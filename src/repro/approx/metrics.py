@@ -149,8 +149,8 @@ def approximation_percentages(original: Network, approx: Network,
                 fs.append(f)
                 gs.append(g)
             covered = [mgr.and_(f, g) for f, g in zip(fs, gs)]
-            # One whole-table sweep on the numpy engine; the scalar
-            # fallback computes each probability exactly as before.
+            # One memo shared by every root: the cones of one circuit's
+            # outputs overlap, so each node is weighed once.
             probs = mgr.probability_many(fs + covered)
             result = dict(cached_pcts)
             for i, po in enumerate(todo):

@@ -1,46 +1,21 @@
 """Reduced ordered BDDs: manager, ISOP extraction, node budgets.
 
-Two engines share one node-id contract (append-only allocation, ids are
-canonical within a manager): the dict-based oracle
-(:class:`BddManager`) and the vectorized struct-of-arrays engine
-(:class:`NumpyBddManager`).  :func:`make_manager` picks one from the
-``REPRO_BDD_ENGINE`` environment variable (``numpy`` by default,
-``python`` selects the oracle) — the switch exists so every flow result
-can be cross-checked against the oracle bit for bit.
+:class:`BddManager` is the one engine: dict unique table and operation
+cache over append-only node lists, with dedicated ``and_`` / ``or_`` /
+``not_`` recursions for the operations global-BDD builds spend their
+time in.  :func:`make_manager` is the constructor every caller resolves
+the manager through.
 """
-
-import os
 
 from .manager import BddManager, BddOverflowError
 from .isop import cover_from_bdd, isop
 
-_ENGINES = ("numpy", "python")
-
-
-def bdd_engine() -> str:
-    """The engine name ``make_manager`` resolves to right now."""
-    engine = os.environ.get("REPRO_BDD_ENGINE", "numpy").strip().lower()
-    if engine not in _ENGINES:
-        raise ValueError(
-            f"REPRO_BDD_ENGINE={engine!r}: expected one of {_ENGINES}")
-    return engine
-
 
 def make_manager(num_vars: int = 0,
                  max_nodes: "int | None" = None) -> BddManager:
-    """Construct a BDD manager for the currently selected engine."""
-    if bdd_engine() == "numpy":
-        from .engine_numpy import NumpyBddManager
-        return NumpyBddManager(num_vars, max_nodes=max_nodes)
+    """Construct a BDD manager over ``num_vars`` variables."""
     return BddManager(num_vars, max_nodes=max_nodes)
 
 
-def __getattr__(name):
-    if name == "NumpyBddManager":
-        from .engine_numpy import NumpyBddManager
-        return NumpyBddManager
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = ["BddManager", "BddOverflowError", "NumpyBddManager",
-           "bdd_engine", "cover_from_bdd", "isop", "make_manager"]
+__all__ = ["BddManager", "BddOverflowError", "cover_from_bdd", "isop",
+           "make_manager"]

@@ -10,7 +10,12 @@ accounting (minterm counting).
 
 The implementation is a textbook ite-based ROBDD with a unique table and
 an operation cache, plus an optional node budget so callers can fall back
-to simulation-based checking when a global BDD blows up.
+to simulation-based checking when a global BDD blows up.  ``and_``,
+``or_`` and ``not_`` -- nearly every operation a global-BDD build or an
+implication check issues -- run dedicated recursions instead of the
+generic ``ite``; they share its cache under the standard ite triples and
+create the same nodes in the same order, so node ids do not depend on
+which path built a function.
 """
 
 from __future__ import annotations
@@ -32,10 +37,6 @@ class BddManager:
     Node ids 0 and 1 are the constant functions.  Variables are indexed
     ``0 .. num_vars-1`` and ordered by index.
     """
-
-    #: Engine name; the numpy subclass overrides this.  Callers that can
-    #: exploit batched operations test for them with ``hasattr``.
-    engine = "python"
 
     def __init__(self, num_vars: int = 0, max_nodes: int | None = None):
         self.max_nodes = max_nodes
@@ -188,14 +189,94 @@ class BddManager:
             return self._lo[f], self._hi[f]
         return f, f
 
+    # The three kernels below compute exactly ``ite(f, 0, 1)``,
+    # ``ite(f, g, 0)`` and ``ite(f, 1, g)`` and cache under those keys,
+    # so ``mark()``/``rollback()`` need not know about them.  A kernel
+    # only creates nodes of its result, lo before hi, as ``ite`` does:
+    # node ids, the overflow point and deadline polling are unchanged.
     def not_(self, f: int) -> int:
-        return self.ite(f, 0, 1)
+        if f <= 1:
+            return 1 - f
+        key = (f, 0, 1)
+        result = self._ite_cache.get(key)
+        if result is not None:
+            return result
+        var = self._var[f]
+        lo = self.not_(self._lo[f])
+        hi = self.not_(self._hi[f])
+        result = self._unique.get((var, lo, hi))
+        if result is None:
+            result = self._mk(var, lo, hi)
+        self._ite_cache[key] = result
+        return result
 
     def and_(self, f: int, g: int) -> int:
-        return self.ite(f, g, 0)
+        if f > g:
+            f, g = g, f
+        if f == 0:
+            return 0
+        if f == 1 or f == g:
+            return g
+        key = (f, g, 0)
+        result = self._ite_cache.get(key)
+        if result is not None:
+            return result
+        var_f = self._var[f]
+        var_g = self._var[g]
+        if var_f <= var_g:
+            top = var_f
+            f0, f1 = self._lo[f], self._hi[f]
+        else:
+            top = var_g
+            f0 = f1 = f
+        if var_g == top:
+            g0, g1 = self._lo[g], self._hi[g]
+        else:
+            g0 = g1 = g
+        lo = self.and_(f0, g0)
+        hi = self.and_(f1, g1)
+        if lo == hi:
+            result = lo
+        else:
+            result = self._unique.get((top, lo, hi))
+            if result is None:
+                result = self._mk(top, lo, hi)
+        self._ite_cache[key] = result
+        return result
 
     def or_(self, f: int, g: int) -> int:
-        return self.ite(f, 1, g)
+        if f > g:
+            f, g = g, f
+        if f == 0 or f == g:
+            return g
+        if f == 1:
+            return 1
+        key = (f, 1, g)
+        result = self._ite_cache.get(key)
+        if result is not None:
+            return result
+        var_f = self._var[f]
+        var_g = self._var[g]
+        if var_f <= var_g:
+            top = var_f
+            f0, f1 = self._lo[f], self._hi[f]
+        else:
+            top = var_g
+            f0 = f1 = f
+        if var_g == top:
+            g0, g1 = self._lo[g], self._hi[g]
+        else:
+            g0 = g1 = g
+        lo = self.or_(f0, g0)
+        hi = self.or_(f1, g1)
+        if lo == hi:
+            result = lo
+        else:
+            result = self._unique.get((top, lo, hi))
+            if result is None:
+                result = self._mk(top, lo, hi)
+        self._ite_cache[key] = result
+        return result
 
     def xor_(self, f: int, g: int) -> int:
         return self.ite(f, self.not_(g), g)
@@ -225,14 +306,27 @@ class BddManager:
     # Structural operations
     # ------------------------------------------------------------------
     def restrict(self, f: int, var: int, value: int) -> int:
-        """Cofactor ``f`` with respect to ``var = value``."""
-        if self.is_terminal(f) or self._var[f] > var:
-            return f
-        if self._var[f] == var:
-            return self._hi[f] if value else self._lo[f]
-        lo = self.restrict(self._lo[f], var, value)
-        hi = self.restrict(self._hi[f], var, value)
-        return self._mk(self._var[f], lo, hi)
+        """Cofactor ``f`` with respect to ``var = value``.
+
+        Memoized per call, so a shared sub-DAG is rebuilt once: linear
+        in the size of ``f`` rather than in its number of paths.
+        """
+        var_of, lo_of, hi_of = self._var, self._lo, self._hi
+        memo: dict[int, int] = {}
+
+        def walk(node: int) -> int:
+            top = var_of[node]
+            if top > var:  # terminals too: their var orders last
+                return node
+            if top == var:
+                return hi_of[node] if value else lo_of[node]
+            result = memo.get(node)
+            if result is None:
+                result = self._mk(top, walk(lo_of[node]), walk(hi_of[node]))
+                memo[node] = result
+            return result
+
+        return walk(f)
 
     def compose(self, f: int, var: int, g: int) -> int:
         """Substitute function ``g`` for variable ``var`` in ``f``."""
@@ -292,47 +386,55 @@ class BddManager:
 
     def sat_count(self, f: int, num_vars: int | None = None) -> int:
         """Number of satisfying assignments over ``num_vars`` variables."""
-        n = self._num_vars if num_vars is None else num_vars
-        cache: dict[int, int] = {}
-
-        def count(node: int) -> int:
-            # Count over variables strictly below var_of(node) in the order.
-            if node == 0:
-                return 0
-            if node == 1:
-                return 1
-            if node in cache:
-                return cache[node]
-            var = self._var[node]
-            lo, hi = self._lo[node], self._hi[node]
-            lo_var = min(self._var[lo], n)
-            hi_var = min(self._var[hi], n)
-            total = (count(lo) << (lo_var - var - 1)) + \
-                    (count(hi) << (hi_var - var - 1))
-            cache[node] = total
-            return total
-
-        top = min(self._var[f], n)
-        return count(f) << top
+        return self._sat_counter(num_vars)(f)
 
     def probability(self, f: int, var_probs: Sequence[float] | None = None) -> float:
         """P(f = 1) under independent input probabilities (default 0.5)."""
+        return self._prober(var_probs)(f)
+
+    def _sat_counter(self, num_vars: int | None):
+        """Root -> model count, memoized across every root it is given.
+
+        Counts stay python big ints: wide circuits (i10 has 257 inputs)
+        overflow any fixed-width integer.
+        """
+        n = self._num_vars if num_vars is None else num_vars
+        var_of, lo_of, hi_of = self._var, self._lo, self._hi
+        cache: dict[int, int] = {0: 0, 1: 1}
+
+        def count(node: int) -> int:
+            # Count over variables strictly below var_of(node) in the order.
+            total = cache.get(node)
+            if total is None:
+                var = var_of[node]
+                lo, hi = lo_of[node], hi_of[node]
+                total = (count(lo) << (min(var_of[lo], n) - var - 1)) + \
+                        (count(hi) << (min(var_of[hi], n) - var - 1))
+                cache[node] = total
+            return total
+
+        return lambda f: count(f) << min(var_of[f], n)
+
+    def _prober(self, var_probs: Sequence[float] | None):
+        """Root -> P(root = 1), memoized across every root it is given."""
+        var_of, lo_of, hi_of = self._var, self._lo, self._hi
         cache: dict[int, float] = {0: 0.0, 1: 1.0}
 
         def prob(node: int) -> float:
-            if node in cache:
-                return cache[node]
-            var = self._var[node]
-            p = 0.5 if var_probs is None else var_probs[var]
-            value = (1.0 - p) * prob(self._lo[node]) + p * prob(self._hi[node])
-            cache[node] = value
+            value = cache.get(node)
+            if value is None:
+                p = 0.5 if var_probs is None else var_probs[var_of[node]]
+                value = (1.0 - p) * prob(lo_of[node]) + p * prob(hi_of[node])
+                cache[node] = value
             return value
 
-        return prob(f)
+        return prob
 
     # -- batched queries -------------------------------------------------
-    # Scalar fallbacks so callers stay engine-agnostic; the numpy engine
-    # overrides these with single whole-table array sweeps.
+    # One memo serves every root, so nodes shared between roots (the
+    # outputs of one circuit share most of their cones) are visited once.
+    # Each node's value is the same expression as in the one-root query,
+    # so the results are bit-identical to it.
     def implies_many(self, fs: Sequence[int],
                      gs: Sequence[int]) -> list[bool]:
         """``[f => g]`` for many root pairs."""
@@ -342,27 +444,14 @@ class BddManager:
                          var_probs: Sequence[float] | None = None
                          ) -> list[float]:
         """``P(f = 1)`` for many roots."""
-        return [self.probability(f, var_probs) for f in fs]
+        prob = self._prober(var_probs)
+        return [prob(f) for f in fs]
 
     def sat_count_many(self, fs: Sequence[int],
                        num_vars: int | None = None) -> list[int]:
         """Exact model counts for many roots."""
-        return [self.sat_count(f, num_vars) for f in fs]
-
-    def evaluate_many(self, fs: Sequence[int], assignments) -> list[list[bool]]:
-        """Evaluate many roots under many assignments.
-
-        ``assignments`` is a sequence of rows of 0/1 variable values
-        (row ``j``, column ``v`` is the value of variable ``v``).
-        """
-        packed = []
-        for row in assignments:
-            word = 0
-            for i, bit in enumerate(row):
-                if bit:
-                    word |= 1 << i
-            packed.append(word)
-        return [[self.evaluate(f, word) for word in packed] for f in fs]
+        count = self._sat_counter(num_vars)
+        return [count(f) for f in fs]
 
     def any_sat(self, f: int) -> int | None:
         """One satisfying assignment (bit vector), or None if f == 0."""

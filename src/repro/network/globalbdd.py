@@ -7,12 +7,10 @@ checks and by the approximation-percentage metric.  A node budget makes
 blow-ups recoverable: callers catch :class:`BddOverflowError` and fall
 back to simulation-based checking.
 
-When the manager is the vectorized numpy engine (it exposes
-``apply_many``), node functions are built level by level: all cube
-literals of a level's nodes are negated in one batch, cube terms and
-SOP disjunctions are tree-reduced with batched apply rounds, so the
-python-loop overhead is per *level*, not per literal.  The dict oracle
-keeps the original per-node scalar loop.
+Each node's function is the OR of its cubes, each cube the AND of its
+fanin literals, built one node at a time in topological order; the
+manager's dedicated ``and_`` / ``or_`` / ``not_`` kernels carry the
+work.
 """
 
 from __future__ import annotations
@@ -63,12 +61,8 @@ class GlobalBdds:
         for pi in network.inputs:
             if pi not in self._pi_index:
                 raise ValueError(f"network input {pi!r} not in PI space")
-        names = network.topological_order()
-        if hasattr(self.manager, "apply_many"):
-            self._build_nodes_batched(network, names, prefix)
-        else:
-            for name in names:
-                self._build_node(network, name, prefix)
+        for name in network.topological_order():
+            self._build_node(network, name, prefix)
 
     def _build_node(self, network: Network, name: str, prefix: str) -> None:
         """(Re)compute one node's global function from its fanins."""
@@ -88,65 +82,6 @@ class GlobalBdds:
                     term = mgr.and_(term, mgr.not_(fanin_bdds[i]))
             result = mgr.or_(result, term)
         self.functions[prefix + name] = result
-
-    def _build_nodes_batched(self, network: Network, names: list[str],
-                             prefix: str) -> None:
-        """Level-wise batched rebuild of ``names`` (topological order)."""
-        from repro.bdd.engine_numpy import OP_AND, OP_OR
-        mgr = self.manager
-        build_set = set(names)
-        level: dict[str, int] = {}
-        groups: list[list[str]] = []
-        for name in names:
-            depth = 0
-            for fanin in network.nodes[name].fanins:
-                if fanin in build_set:
-                    depth = max(depth, level[fanin] + 1)
-            level[name] = depth
-            while len(groups) <= depth:
-                groups.append([])
-            groups[depth].append(name)
-        for group in groups:
-            # Literal functions: batch every needed negation of the level.
-            neg_wanted: set[int] = set()
-            recipes = []  # (name, [term literal-id lists])
-            for name in group:
-                node = network.nodes[name]
-                fanin_bdds = [self.functions[
-                    f if f in self._pi_index else prefix + f]
-                    for f in node.fanins]
-                terms = []
-                for cube in node.cover.cubes:
-                    lits = []
-                    for i in range(cube.n):
-                        lit = cube.literal(i)
-                        if lit == "1":
-                            lits.append(("+", fanin_bdds[i]))
-                        elif lit == "0":
-                            lits.append(("-", fanin_bdds[i]))
-                            neg_wanted.add(fanin_bdds[i])
-                    terms.append(lits)
-                recipes.append((name, terms))
-            neg_ids = sorted(neg_wanted)
-            negated = dict(zip(neg_ids, mgr.not_many(neg_ids))) \
-                if neg_ids else {}
-            term_lists = []
-            shape = []  # terms per node, aligned with recipes
-            for name, terms in recipes:
-                shape.append(len(terms))
-                for lits in terms:
-                    term_lists.append([
-                        f if sign == "+" else int(negated[f])
-                        for sign, f in lits])
-            term_ids = _tree_reduce(mgr, OP_AND, term_lists, mgr.one)
-            pos = 0
-            node_lists = []
-            for count in shape:
-                node_lists.append(term_ids[pos:pos + count])
-                pos += count
-            node_ids = _tree_reduce(mgr, OP_OR, node_lists, mgr.zero)
-            for (name, _), result in zip(recipes, node_ids):
-                self.functions[prefix + name] = result
 
     def update_network(self, network: Network, prefix: str = "",
                        changed: "frozenset[str] | set[str]" = frozenset(),
@@ -177,11 +112,8 @@ class GlobalBdds:
                 self.functions.pop(prefix + name, None)
         order = network.topological_order()
         todo = [name for name in order if name in dirty]
-        if hasattr(self.manager, "apply_many"):
-            self._build_nodes_batched(network, todo, prefix)
-        else:
-            for name in todo:
-                self._build_node(network, name, prefix)
+        for name in todo:
+            self._build_node(network, name, prefix)
         return len(todo)
 
     def function(self, signal: str) -> int:
@@ -190,53 +122,12 @@ class GlobalBdds:
     def implies(self, a: str, b: str) -> bool:
         return self.manager.implies(self.functions[a], self.functions[b])
 
-    def implies_many(self, pairs: "list[tuple[str, str]]") -> list[bool]:
-        """Batched ``a => b`` verdicts for many signal pairs."""
-        fs = [self.functions[a] for a, _ in pairs]
-        gs = [self.functions[b] for _, b in pairs]
-        return [bool(v) for v in self.manager.implies_many(fs, gs)]
-
     def equal(self, a: str, b: str) -> bool:
         return self.functions[a] == self.functions[b]
 
     def minterm_fraction(self, signal: str) -> float:
         """Fraction of the input space where the signal is 1."""
         return self.manager.probability(self.functions[signal])
-
-    def minterm_fraction_many(self, signals: list[str]) -> list[float]:
-        """Batched minterm fractions (one whole-table sweep on numpy)."""
-        roots = [self.functions[s] for s in signals]
-        return [float(p) for p in self.manager.probability_many(roots)]
-
-
-def _tree_reduce(mgr, op: int, lists: "list[list[int]]",
-                 identity: int) -> list[int]:
-    """Reduce many operand lists with batched apply rounds.
-
-    Each round pairs adjacent operands of every list and applies the
-    operator to all pairs at once; empty lists yield ``identity``.
-    """
-    values = [list(operands) for operands in lists]
-    while any(len(operands) > 1 for operands in values):
-        fs: list[int] = []
-        gs: list[int] = []
-        slots: list[tuple[int, int]] = []
-        for i, operands in enumerate(values):
-            reduced: list = []
-            j = 0
-            while j + 1 < len(operands):
-                slots.append((i, len(reduced)))
-                fs.append(operands[j])
-                gs.append(operands[j + 1])
-                reduced.append(-1)
-                j += 2
-            if j < len(operands):
-                reduced.append(operands[j])
-            values[i] = reduced
-        results = mgr.apply_many(op, fs, gs)
-        for (i, k), result in zip(slots, results):
-            values[i][k] = int(result)
-    return [operands[0] if operands else identity for operands in values]
 
 
 def dfs_input_order(network: Network) -> list[str]:
