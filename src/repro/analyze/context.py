@@ -10,16 +10,17 @@ actually mutated — and then incrementally, via the fixpoint engine's
 :func:`analyze_network` distills a bundle into the JSON summary served
 by ``repro.cli analyze`` and ``bench_analyze``;
 :func:`load_cached_summary` / :func:`store_summary` persist summaries
-in ``.lab_cache/analyze/`` beside the PR 6 proof store, content-keyed
-by the circuit digest so equal circuits in different processes share
-one computation.
+in ``.lab_cache/analyze/`` beside the proof store, content-keyed by the
+circuit digest so equal circuits in different processes share one
+computation.  The cache is a key (:func:`summary_token`) over the
+self-digested JSON codec of the repo's store core
+(:class:`repro.lab.cache.JsonStore`): writes are atomic, and a corrupt
+or stale-schema summary is evicted and recomputed.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 from pathlib import Path
 
 from repro.network import Network
@@ -217,33 +218,23 @@ def summary_token(network: Network) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def _summary_path(cache_dir: str | Path, token: str) -> Path:
-    return Path(cache_dir) / token[:2] / f"{token}.json"
+def _summary_store(cache_dir: str | Path):
+    # Imported lazily: importing repro.lab loads its executor and
+    # backends, which the analyses themselves never need.
+    from repro.lab.cache import JsonStore
+    return JsonStore(cache_dir, schema=ANALYZE_SCHEMA)
 
 
 def load_cached_summary(cache_dir: str | Path,
                         network: Network) -> dict | None:
     """Serve a summary from disk; corrupt entries are evicted."""
-    path = _summary_path(cache_dir, summary_token(network))
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    if not isinstance(doc, dict) or doc.get("schema") != ANALYZE_SCHEMA:
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        return None
-    return doc
+    return _summary_store(cache_dir).get(summary_token(network), None)
 
 
 def store_summary(cache_dir: str | Path, network: Network,
                   doc: dict) -> Path:
-    """Atomic, racing-writer-safe summary write (pid-tagged temp)."""
-    path = _summary_path(cache_dir, summary_token(network))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    tmp.write_text(json.dumps(doc, indent=2, sort_keys=True))
-    os.replace(tmp, path)
-    return path
+    """Atomic, racing-writer-safe summary write; returns its path."""
+    store = _summary_store(cache_dir)
+    token = summary_token(network)
+    store.put(token, doc)
+    return store._paths(token)[0]

@@ -46,8 +46,7 @@ from repro.bdd import BddOverflowError
 from repro.cubes import Cover, minimize
 from repro.guard import Budget, DeadlineExceeded
 from repro.lab.proofs import (EXACT_ENGINES, ConeFingerprinter,
-                              cone_payload, implication_key,
-                              proof_workers, prove_implications)
+                              implication_key)
 from repro.network import (Network, eliminate, propagate_constants,
                            strash, sweep, trim_unread_fanins)
 from repro.sat.solver import SatBudgetExhausted, require_decided
@@ -143,8 +142,6 @@ def synthesize_approximation(network: Network,
         fingerprints = ConeFingerprinter() if proofs is not None else None
         served = None
         if proofs is not None:
-            _preprove_parallel(network, approx, output_approximations,
-                               proofs, fingerprints, config, budget)
             served = _serve_cached_proofs(network, approx,
                                           output_approximations,
                                           proofs, fingerprints, budget)
@@ -724,56 +721,6 @@ def _serve_cached_proofs(network: Network, approx: Network,
     if budget is not None:
         budget.report.rung(method, "selected", proof_cache=True)
     return correctness, method
-
-
-def _preprove_parallel(network: Network, approx: Network,
-                       output_approximations: dict[str, int],
-                       proofs, fingerprints, config: ApproxConfig,
-                       budget: Budget | None) -> None:
-    """Prove uncached PO implications concurrently before the checker
-    is built (``REPRO_PROOF_WORKERS`` > 0).
-
-    Each worker proves one independent PO cone pair with budget-capped
-    BDDs; undecided cones (overflow/deadline in the worker) are simply
-    left uncached and handled by the in-process degradation ladder.
-    """
-    workers = proof_workers()
-    if workers <= 0 or config.check not in ("auto", "bdd"):
-        return
-    node_cap = config.bdd_node_budget
-    if budget is not None:
-        node_cap = budget.bdd_cap(node_cap)
-    jobs = []
-    for po in network.outputs:
-        if network.is_input(po):
-            continue
-        direction = 1 if output_approximations[po] == 1 else 0
-        key = implication_key(fingerprints, network, approx, po,
-                              direction)
-        if proofs.get(key) is not None:
-            continue
-        jobs.append({
-            "key": key,
-            "original": cone_payload(network, po),
-            "approx": cone_payload(approx, po),
-            "po": po,
-            "direction": direction,
-            "node_cap": node_cap,
-            "deadline_s": budget.remaining_s()
-            if budget is not None else None,
-        })
-    if not jobs:
-        return
-    by_key = {job["key"]: job for job in jobs}
-    for verdict in prove_implications(jobs, workers):
-        if not verdict.get("ok"):
-            continue
-        job = by_key[verdict["key"]]
-        proofs.put(verdict["key"], {
-            "kind": "implication", "po": job["po"],
-            "direction": job["direction"],
-            "holds": bool(verdict["holds"]),
-            "engine": verdict["engine"]})
 
 
 def _safe_refresh(checker: "_Checker", network: Network, approx: Network,

@@ -22,8 +22,10 @@ Subcommands:
   runs resume), and a structured run manifest;
 * ``search`` — budget-governed, resumable evolutionary search over
   checker candidates (``repro.search``), one lab grid per generation;
-* ``cache`` — stats/prune for the cross-process implication proof
-  cache (``.lab_cache/proofs/``);
+* ``cache`` — stats/prune for a content-addressed store: the
+  cross-process implication proof cache (``.lab_cache/proofs/``, the
+  default) or a checkpoint/lab artifact store (``.lab_cache/``, a serve
+  state dir's ``checkpoints/``);
 * ``serve`` — run the CED-synthesis service (async HTTP front end over
   sharded warm workers; see DESIGN.md §14) until SIGTERM drains it.
 
@@ -35,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from repro.approx import (ApproxConfig, ConfigError, engine_names,
                           approximation_percentages,
@@ -478,7 +481,6 @@ def cmd_search(args: argparse.Namespace) -> int:
     result = run_search(config, log=None if quiet else (
         lambda line: print(line, file=sys.stderr, flush=True)))
     if args.out:
-        from pathlib import Path
         Path(args.out).write_text(result.best.blif)
     if args.json:
         doc = result.summary()
@@ -514,10 +516,13 @@ def _parse_size(text: str) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
-    """Inspect or prune the cross-process proof cache."""
-    from repro.lab import ProofCache
+    """Inspect or prune a proof cache or a checkpoint/lab store."""
+    from repro.lab import ArtifactStore, ProofCache
 
-    cache = ProofCache(args.dir)
+    # A root holding pickle entries is an artifact store (flow
+    # checkpoints, lab results); anything else is a proof cache.
+    pickled = next(Path(args.dir).glob("??/*.pkl"), None)
+    cache = (ArtifactStore if pickled else ProofCache)(args.dir)
     if args.cache_command == "prune":
         if args.max_size is None and not args.stale:
             raise SystemExit("cache prune: give --max-size and/or "
@@ -544,7 +549,9 @@ def cmd_cache(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(stats, indent=2, sort_keys=True))
     else:
-        print(f"proof cache {stats['root']}: {stats['entries']} "
+        kind = "proof cache" if isinstance(cache, ProofCache) \
+            else "artifact store"
+        print(f"{kind} {stats['root']}: {stats['entries']} "
               f"entries, {stats['bytes']} bytes")
     return 0
 
@@ -791,10 +798,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_cache = sub.add_parser(
-        "cache", help="inspect or prune the proof cache")
+        "cache", help="inspect or prune a proof cache or a "
+                      "checkpoint/lab artifact store")
     p_cache.add_argument("--dir", default=".lab_cache/proofs",
-                         help="proof cache root "
-                              "(default: .lab_cache/proofs)")
+                         help="store root: a proof cache, or a "
+                              "checkpoint/lab store holding .pkl "
+                              "entries (default: .lab_cache/proofs)")
     p_cache.add_argument("--json", action="store_true",
                          help="machine-readable output")
     cache_sub = p_cache.add_subparsers(dest="cache_command",
@@ -808,8 +817,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="size budget in bytes (K/M/G suffixes "
                               "accepted), e.g. 64M")
     p_prune.add_argument("--stale", action="store_true",
-                         help="sweep entries written under an older "
-                              "proof schema or with a bad digest "
+                         help="sweep entries that fail their digest "
+                              "or carry an older proof schema "
                               "(e.g. after a cache-key version bump)")
     for leaf in (p_stats, p_prune):
         # Accepted after the subcommand too (``cache stats --json``).

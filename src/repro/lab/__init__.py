@@ -10,6 +10,13 @@ deterministic per-job seeds, a content-addressed artifact cache
 under ``results/runs/<run_id>/``; :func:`merge_manifests` folds the
 manifests of a sweep split across hosts back into one document.
 
+:class:`ArtifactStore` (:mod:`repro.lab.cache`) is the repo's one
+store core — atomic writes (:func:`atomic_write`), digest-verified
+reads that evict a corrupt entry, mtime-guarded pruning, stats — with a
+pickle codec (flow checkpoints, lab results) and a self-digested JSON
+codec (:class:`JsonStore`), on which :class:`ProofCache` and the ``cli
+analyze`` summary cache are key schemes.
+
 Task functions live in :mod:`repro.lab.tasks` (imported lazily — it
 pulls in the whole flow stack).
 """
@@ -19,8 +26,8 @@ from .backends import (BACKEND_ENV, ExecutorBackend,  # noqa: F401
                        WorkqueueBackend, backend_names,
                        create_backend, register_backend,
                        resolve_backend)
-from .cache import (MISS, ArtifactStore, cache_key,  # noqa: F401
-                    code_fingerprint)
+from .cache import (MISS, ArtifactStore, JsonStore,  # noqa: F401
+                    atomic_write, cache_key, code_fingerprint)
 from .executor import (WORKERS_ENV, JobResult, JobTimeout,  # noqa: F401
                        LabRun, LabRunner, resolve_workers, run_jobs)
 from .job import (Job, JobGraph, canonical_params,  # noqa: F401
@@ -29,12 +36,12 @@ from .manifest import (JOB_STATUSES,  # noqa: F401
                        MANIFEST_SCHEMA_VERSION, build_manifest,
                        load_manifest, merge_manifests, new_run_id,
                        validate_manifest, write_manifest)
-from .proofs import (PROOF_WORKERS_ENV, ConeFingerprinter,  # noqa: F401
-                     ProofCache, proof_workers)
+from .proofs import ConeFingerprinter, ProofCache  # noqa: F401
 
 __all__ = [
     "Job", "JobGraph", "derive_seed", "canonical_params",
-    "ArtifactStore", "MISS", "cache_key", "code_fingerprint",
+    "ArtifactStore", "JsonStore", "MISS", "atomic_write", "cache_key",
+    "code_fingerprint",
     "JobResult", "JobTimeout", "LabRun", "LabRunner", "run_jobs",
     "resolve_workers", "WORKERS_ENV",
     "ExecutorBackend", "JobRequest", "LocalBackend", "TcpBackend",
@@ -43,6 +50,5 @@ __all__ = [
     "MANIFEST_SCHEMA_VERSION", "JOB_STATUSES", "build_manifest",
     "load_manifest", "merge_manifests", "new_run_id",
     "validate_manifest", "write_manifest",
-    "ProofCache", "ConeFingerprinter", "proof_workers",
-    "PROOF_WORKERS_ENV",
+    "ProofCache", "ConeFingerprinter",
 ]

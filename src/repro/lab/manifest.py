@@ -18,6 +18,8 @@ from typing import Any
 
 from repro.flow import validate_trace
 
+from .cache import atomic_write
+
 __all__ = ["MANIFEST_SCHEMA_VERSION", "new_run_id", "write_manifest",
            "load_manifest", "validate_manifest", "merge_manifests",
            "JOB_STATUSES"]
@@ -46,12 +48,9 @@ def new_run_id(prefix: str = "run") -> str:
 
 def write_manifest(run_dir: "str | Path", doc: dict[str, Any]) -> Path:
     """Atomically write ``manifest.json`` under ``run_dir``."""
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    path = run_dir / "manifest.json"
-    tmp = run_dir / f".manifest.{os.getpid()}.tmp"
-    tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    path = Path(run_dir) / "manifest.json"
+    atomic_write(path, (json.dumps(doc, indent=2, sort_keys=True)
+                        + "\n").encode())
     return path
 
 

@@ -1,4 +1,4 @@
-"""Cross-process content-addressed proof cache + parallel cone proving.
+"""Cross-process content-addressed proof cache.
 
 The per-PO implication condition (paper Sec 2.2) only depends on the
 *cones* of the original and approximate output and the check direction.
@@ -10,31 +10,23 @@ cone.  Only *exact* verdicts (BDD or SAT engines) are ever stored or
 served; statistical simulation verdicts stay out of the cache so a flow
 produces bit-identical results with a cold or warm cache.
 
-Every entry embeds a digest of its own payload: a corrupted entry
-(truncated write, bit rot, hand editing) is detected on read, evicted,
-and transparently re-proved.
-
-Independent POs' implications can also be proved *concurrently*:
-:func:`prove_implications` ships self-contained cone payloads to a
-process pool (``REPRO_PROOF_WORKERS`` workers), each worker rebuilding
-the pair of cone networks and proving with budget-capped global BDDs.
-Budget state threads into the workers — node caps and the remaining
-wall-clock deadline — so a blow-up or deadline inside a worker reports
-back as "undecided" and the caller's degradation ladder fires for that
-cone exactly as it would in-process.
+The entries sit on the repo's one store core
+(:class:`repro.lab.cache.JsonStore`): every entry embeds a digest of
+its own payload, so a corrupted entry (truncated write, bit rot, hand
+editing) is detected on read, evicted, and transparently re-proved;
+writes are atomic, and ``prune``/``prune_stale``/``stats`` come from
+the core.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import time
 from pathlib import Path
 
+from .cache import MISS, JsonStore
+
 __all__ = ["ProofCache", "ConeFingerprinter", "implication_key",
-           "pct_key", "error_key", "cone_payload", "prove_implications",
-           "proof_workers", "PROOF_WORKERS_ENV", "PROOF_SCHEMA",
+           "pct_key", "error_key", "PROOF_SCHEMA",
            "CHECK_KIND_VERSIONS", "EXACT_ENGINES"]
 
 #: Bump when the entry layout or the fingerprint recipe changes.
@@ -50,24 +42,11 @@ PROOF_SCHEMA = 2
 CHECK_KIND_VERSIONS = {"implication": 1, "approx_pct": 1,
                        "error_metric": 1}
 
-#: Environment variable selecting the parallel-prover worker count.
-#: ``0`` (the default) disables out-of-process proving.
-PROOF_WORKERS_ENV = "REPRO_PROOF_WORKERS"
-
 #: Engines whose verdicts are exact and therefore cacheable; only
 #: their entries are served.  Entries from any other engine (``static``
 #: ones written before the static-discharge rung left the synthesis
 #: path) are ignored and re-proved once.
 EXACT_ENGINES = ("bdd", "sat")
-
-
-def proof_workers() -> int:
-    """Worker count for parallel cone proving (0 = in-process only)."""
-    raw = os.environ.get(PROOF_WORKERS_ENV, "0").strip()
-    try:
-        return max(int(raw), 0)
-    except ValueError:
-        return 0
 
 
 # ----------------------------------------------------------------------
@@ -154,278 +133,26 @@ def error_key(fp: ConeFingerprinter, original, approx, po: str,
 # ----------------------------------------------------------------------
 # The on-disk cache
 # ----------------------------------------------------------------------
-class ProofCache:
-    """JSON proof entries addressed by cone fingerprint.
+class ProofCache(JsonStore):
+    """Proof verdicts addressed by cone fingerprint.
 
-    Entries live in ``root/<key[:2]>/<key>.json``; writes are atomic
-    (temp file + ``os.replace``).  Each entry carries a digest of its
-    own canonical payload — a mismatch means corruption, and the entry
-    is evicted and treated as a miss.
+    A key scheme (:func:`implication_key`, :func:`pct_key`,
+    :func:`error_key`) over the self-digested JSON codec of the store
+    core: entries live in ``root/<key[:2]>/<key>.json``, carry
+    :data:`PROOF_SCHEMA` and a digest of their own payload, and a
+    corrupt or stale-schema entry is evicted on read and re-proved.
     """
 
     def __init__(self, root: "str | Path" = ".lab_cache/proofs"):
-        self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        super().__init__(root, schema=PROOF_SCHEMA)
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+    def get(self, key: str, default: "dict | None" = None
+            ) -> "dict | None":
+        """The cached entry, or ``default``; bad entries are evicted."""
+        entry = self._read(key)
+        return default if entry is MISS else entry
 
-    @staticmethod
-    def _digest(entry: dict) -> str:
-        payload = {k: v for k, v in sorted(entry.items())
-                   if k != "digest"}
-        return hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
-    def get(self, key: str) -> dict | None:
-        """The cached entry, or None; corrupted entries are evicted."""
-        path = self._path(key)
-        try:
-            entry = json.loads(path.read_text())
-        except OSError:
-            self.misses += 1
-            return None
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            self.evict(key)
-            self.evictions += 1
-            self.misses += 1
-            return None
-        if not isinstance(entry, dict) \
-                or entry.get("schema") != PROOF_SCHEMA \
-                or entry.get("digest") != self._digest(entry):
-            self.evict(key)
-            self.evictions += 1
-            self.misses += 1
-            return None
-        self.hits += 1
-        return entry
-
-    def put(self, key: str, entry: dict) -> None:
-        """Store an entry atomically (its digest is filled in here).
-
-        The temp name is unique per process *and* thread (warm serve
-        workers share one pid across shards in thread mode), and a
-        failed write never leaves the temp file behind — concurrent
-        readers either see the old complete entry or the new one,
-        never a torn JSON document.
-        """
-        import threading
-
-        doc = dict(entry)
-        doc["schema"] = PROOF_SCHEMA
-        doc["digest"] = self._digest(doc)
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(
-            f".{path.name}.{os.getpid()}"
-            f".{threading.get_ident():x}.tmp")
-        try:
-            tmp.write_text(json.dumps(doc, sort_keys=True))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            raise
-
-    def evict(self, key: str) -> None:
-        try:
-            self._path(key).unlink()
-        except OSError:
-            pass
-
-    # -- hygiene ---------------------------------------------------------
-    def _entries(self) -> list[tuple[Path, int, float]]:
-        found = []
-        if not self.root.is_dir():
-            return found
-        for path in self.root.glob("*/*.json"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            found.append((path, stat.st_size, stat.st_mtime))
-        return found
-
-    def stats(self) -> dict:
-        """On-disk totals plus this process's runtime counters."""
-        entries = self._entries()
-        return {
-            "root": str(self.root),
-            "entries": len(entries),
-            "bytes": sum(size for _, size, _ in entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
-    @staticmethod
-    def _unlink_if_older(path: Path, scan_start: float) -> bool:
-        """Unlink ``path`` unless a writer refreshed it after the scan.
-
-        Prune scans race with concurrent ``put`` writers: the atomic
-        ``os.replace`` can land between the directory walk and the
-        unlink, and blindly unlinking would then delete the *fresh*
-        entry that the scan never judged.  Re-stat right before the
-        unlink and spare anything written at or after ``scan_start``;
-        an entry already evicted by someone else is simply not ours to
-        count.  Returns True when this call removed the entry.
-        """
-        try:
-            if path.stat().st_mtime >= scan_start:
-                return False
-            path.unlink()
-            return True
-        except FileNotFoundError:
-            return False
-        except OSError:
-            return False
-
-    def prune(self, max_bytes: int) -> dict:
-        """Evict oldest entries (by mtime) until under ``max_bytes``.
-
-        Safe against concurrent writers: entries written after the scan
-        started are never deleted, and an entry vanishing mid-scan
-        (evicted by a reader, pruned by another process) is tolerated.
-        """
-        scan_start = time.time()
-        entries = sorted(self._entries(), key=lambda e: e[2])
-        total = sum(size for _, size, _ in entries)
-        removed = 0
-        for path, size, mtime in entries:
-            if total <= max_bytes:
-                break
-            if mtime >= scan_start:
-                continue
-            if not self._unlink_if_older(path, scan_start):
-                continue
-            total -= size
-            removed += 1
-        return {"removed": removed, "kept_entries": len(entries) - removed,
-                "kept_bytes": total}
-
-    def prune_stale(self) -> dict:
-        """Evict stale-format entries (old schema, corrupt, torn).
-
-        ``get`` already evicts lazily on read; this sweeps the whole
-        store eagerly so a ``cache prune`` after a schema bump leaves
-        only current-format entries behind.  Concurrent writers are
-        tolerated: a file that disappears mid-scan is skipped, and an
-        entry rewritten after the scan started is never unlinked even
-        when the bytes the scan judged looked stale.
-        """
-        scan_start = time.time()
-        removed = 0
-        kept = 0
-        for path, _, _ in self._entries():
-            try:
-                entry = json.loads(path.read_text())
-                stale = (not isinstance(entry, dict)
-                         or entry.get("schema") != PROOF_SCHEMA
-                         or entry.get("digest") != self._digest(entry))
-            except FileNotFoundError:
-                continue               # evicted under us: not ours to count
-            except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-                stale = True
-            if stale:
-                if self._unlink_if_older(path, scan_start):
-                    removed += 1
-                else:
-                    kept += 1
-            else:
-                kept += 1
-        return {"removed_stale": removed, "kept_entries": kept}
-
-
-# ----------------------------------------------------------------------
-# Parallel cone proving
-# ----------------------------------------------------------------------
-def cone_payload(network, root: str) -> dict:
-    """A self-contained, picklable description of one root's cone."""
-    if root not in network.nodes:
-        return {"root": root, "inputs": [root], "nodes": []}
-    cone = network.transitive_fanin([root])
-    inputs = [pi for pi in network.inputs if pi in cone]
-    nodes = []
-    for name in network.topological_order():
-        if name not in cone:
-            continue
-        node = network.nodes[name]
-        nodes.append((name, list(node.fanins), node.cover.to_strings(),
-                      node.cover.n))
-    return {"root": root, "inputs": inputs, "nodes": nodes}
-
-
-def _network_from_payload(payload: dict, name: str):
-    from repro.cubes import Cover
-    from repro.network import Network
-    net = Network(name)
-    for pi in payload["inputs"]:
-        net.add_input(pi)
-    for node_name, fanins, rows, width in payload["nodes"]:
-        cover = Cover.from_strings(rows) if rows else Cover(width)
-        net.add_node(node_name, list(fanins), cover)
-    net.add_output(payload["root"])
-    return net
-
-
-def _prove_entry(job: dict) -> dict:
-    """Worker: rebuild one cone pair and prove its implication.
-
-    Returns ``{"key", "ok", "holds", "engine"}`` on success; on
-    overflow/deadline/any failure ``ok`` is False and the caller's
-    in-process ladder takes over for that cone.
-    """
-    key = job["key"]
-    try:
-        from repro.bdd import BddOverflowError
-        from repro.guard import Budget, BudgetExceeded
-        from repro.network import GlobalBdds, dfs_input_order
-
-        original = _network_from_payload(job["original"], "cone_o")
-        approx = _network_from_payload(job["approx"], "cone_a")
-        inputs = dfs_input_order(original)
-        for pi in approx.inputs:
-            if pi not in inputs:
-                inputs.append(pi)
-        try:
-            bdds = GlobalBdds(inputs, max_nodes=job.get("node_cap"))
-            deadline_s = job.get("deadline_s")
-            if deadline_s is not None:
-                bdds.manager.guard = Budget(deadline_s=deadline_s).start()
-            bdds.add_network(original, prefix="o_")
-            bdds.add_network(approx, prefix="a_")
-            po = job["po"]
-            if job["direction"] == 1:
-                holds = bdds.implies("a_" + po, "o_" + po)
-            else:
-                holds = bdds.implies("o_" + po, "a_" + po)
-            return {"key": key, "ok": True, "holds": bool(holds),
-                    "engine": "bdd"}
-        except (BddOverflowError, BudgetExceeded) as exc:
-            return {"key": key, "ok": False, "why": type(exc).__name__}
-    except Exception as exc:  # never kill the pool on a cone
-        return {"key": key, "ok": False, "why": repr(exc)}
-
-
-def prove_implications(jobs: list[dict], workers: int) -> list[dict]:
-    """Prove many independent cone implications on a process pool.
-
-    Each job: ``{"key", "original", "approx", "po", "direction",
-    "node_cap", "deadline_s"}`` (see :func:`cone_payload`).  Falls back
-    to in-process proving when ``workers <= 1`` or the pool cannot
-    start (sandboxes without semaphores).
-    """
-    if workers <= 1 or len(jobs) <= 1:
-        return [_prove_entry(job) for job in jobs]
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(workers,
-                                                 len(jobs))) as pool:
-            chunk = max(len(jobs) // (4 * workers), 1)
-            return list(pool.map(_prove_entry, jobs, chunksize=chunk))
-    except (OSError, ImportError, RuntimeError):
-        return [_prove_entry(job) for job in jobs]
+    def put(self, key: str, entry: dict) -> str:
+        """Store an entry atomically; its schema and digest are filled
+        in here.  Returns the digest."""
+        return self._write(key, entry)

@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.lab import ArtifactStore, Job, JobGraph, LabRunner, derive_seed
+from repro.lab import (ArtifactStore, Job, JobGraph, LabRunner,
+                       atomic_write, derive_seed)
 from repro.network import parse_blif, write_blif
 
 from .mutate import mutate_network
@@ -147,10 +147,8 @@ def _state_path(config: SearchConfig) -> Path:
 
 
 def _save_state(path: Path, doc: dict[str, Any]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    atomic_write(path, (json.dumps(doc, indent=2, sort_keys=True)
+                        + "\n").encode())
 
 
 def _load_state(path: Path) -> "dict[str, Any] | None":

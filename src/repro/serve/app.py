@@ -20,7 +20,8 @@ per-shard priority queues with one dispatcher task each, and the
 ``DELETE /v1/jobs/<id>``    cancel a queued job (409 once running)
 ``GET    /v1/healthz``      liveness + drain state
 ``GET    /v1/stats``        counters: queue, admission, tenants,
-                            warm/cold outcomes, proof-cache stats
+                            warm/cold outcomes, on-disk size of the
+                            proof cache and the checkpoint store
 ==========================  =========================================
 
 Graceful drain (SIGTERM or :meth:`CedService.request_drain`): stop
@@ -50,6 +51,13 @@ __all__ = ["ServeConfig", "CedService"]
 
 #: Sentinel closing a shard's dispatcher queue.
 _CLOSE = (float("inf"), -1, None)
+
+
+def _disk_usage(store) -> dict:
+    """A store's on-disk totals.  Its hit/miss counters are left out:
+    the workers that read and write the store keep their own."""
+    stats = store.stats()
+    return {key: stats[key] for key in ("root", "entries", "bytes")}
 
 
 @dataclass
@@ -636,8 +644,8 @@ class CedService:
         }
 
     def _stats_doc(self) -> dict:
-        from repro.lab.proofs import ProofCache
-        proofs = ProofCache(Path(self.config.state_dir) / "proofs")
+        from repro.lab import ArtifactStore, ProofCache
+        state_dir = Path(self.config.state_dir)
         uptime = (time.monotonic() - self.started_at
                   if self.started_at is not None else 0.0)
         return {
@@ -652,5 +660,7 @@ class CedService:
             "counters": dict(self.counters),
             "admission": self.admission.snapshot(),
             "registry": self.registry.counts(),
-            "proof_cache": proofs.stats(),
+            "proof_cache": _disk_usage(ProofCache(state_dir / "proofs")),
+            "checkpoints": _disk_usage(
+                ArtifactStore(state_dir / "checkpoints")),
         }

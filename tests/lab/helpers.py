@@ -1,12 +1,31 @@
-"""Picklable task functions for the lab tests.
+"""Picklable task functions and store helpers for the lab tests.
 
-They must live in an importable module (not a test body) so worker
-processes can unpickle them by reference.
+The task functions must live in an importable module (not a test body)
+so worker processes can unpickle them by reference.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+
+from repro.lab import ArtifactStore, ProofCache
+
+#: The store core's two codecs, by name.
+CODECS = {"pickle": ArtifactStore, "json": ProofCache}
+
+
+def codec_stores(root: Path) -> list[tuple[str, ArtifactStore]]:
+    """One store per codec, each under ``root/<codec name>``."""
+    return [(name, cls(Path(root) / name)) for name, cls in CODECS.items()]
+
+
+def put_entry(store: ArtifactStore, key: str, worker, i: int,
+              payload: str = "") -> None:
+    """One writer's entry for ``key``: the value carries the writer's
+    identity, so same-key writers race distinct bytes into the store
+    (for the pickle codec, distinct artifacts *and* sidecar digests)."""
+    store.put(key, {"holds": True, "worker": worker, "i": i,
+                    "payload": payload})
 
 
 def square(x: int) -> int:

@@ -1,6 +1,11 @@
 """Content-addressed artifact store: keys, round-trips, corruption."""
 
-from repro.lab import (MISS, ArtifactStore, Job, cache_key,
+import hashlib
+import json
+import os
+import pickle
+
+from repro.lab import (MISS, ArtifactStore, Job, ProofCache, cache_key,
                        code_fingerprint)
 
 from .helpers import add_seeded, square
@@ -109,3 +114,92 @@ class TestArtifactStore:
         store.evict(key)
         assert not store.has(key)
         assert store.get(key) is MISS
+
+    def test_bit_flip_that_still_unpickles_is_evicted(self, tmp_path):
+        # Regression: reads never checked the recorded digest, so a
+        # flipped byte that still unpickles was served as the artifact.
+        store = ArtifactStore(tmp_path / "cache")
+        key = cache_key(Job("j", square, {"x": 3}))
+        store.put(key, {"name": "x1"})
+        path = store._paths(key)[0]
+        flipped = path.read_bytes().replace(b"x1", b"x2")
+        assert pickle.loads(flipped) == {"name": "x2"}
+        path.write_bytes(flipped)
+        assert store.get(key) is MISS
+        assert store.evictions == 1
+        assert not any(p.exists() for p in store._paths(key))
+
+    def test_digest_valid_but_unloadable_pickle_is_evicted(self, tmp_path):
+        # The digest matches, but the bytes no longer unpickle (say a
+        # class was renamed since): still evicted, never raised.
+        store = ArtifactStore(tmp_path / "cache")
+        key = cache_key(Job("j", square, {"x": 3}))
+        garbage = b"\x80\x05\x8c\xff"
+        store.put(key, "placeholder")
+        store._paths(key)[0].write_bytes(garbage)
+        store._paths(key)[1].write_text(json.dumps(
+            {"artifact_digest": hashlib.sha256(garbage).hexdigest()}))
+        assert store.get(key) is MISS
+        assert not store.has(key)
+
+    def test_lost_sidecar_is_a_miss_and_stale(self, tmp_path):
+        store = ArtifactStore(tmp_path / "cache")
+        key = cache_key(Job("j", square, {"x": 3}))
+        store.put(key, "value")
+        store._paths(key)[1].unlink()
+        # Unverifiable: a plain miss on read (a writer may be halfway
+        # through the entry) ...
+        assert store.get(key) is MISS
+        assert store.evictions == 0 and store.has(key)
+        # ... and stale to an eager sweep.
+        os.utime(store._paths(key)[0], (1000, 1000))
+        assert store.prune_stale() == {"removed_stale": 1,
+                                       "kept_entries": 0}
+        assert not store.has(key)
+
+    def test_prune_stale_evicts_entries_failing_their_digest(
+            self, tmp_path):
+        store = ArtifactStore(tmp_path / "cache")
+        keys = [cache_key(Job("j", square, {"x": x})) for x in range(3)]
+        for key in keys:
+            store.put(key, {"x": key})
+            os.utime(store._paths(key)[0], (1000, 1000))
+        path = store._paths(keys[0])[0]
+        path.write_bytes(path.read_bytes()[:-1] + b"\x00")
+        assert store.prune_stale() == {"removed_stale": 1,
+                                       "kept_entries": 2}
+        assert not any(p.exists() for p in store._paths(keys[0]))
+        assert store.get(keys[1]) == {"x": keys[1]}
+
+    def test_prune_lab_root_takes_sidecars_and_spares_nested_stores(
+            self, tmp_path):
+        # ``.lab_cache`` holds lab artifacts and flow checkpoints at its
+        # root, and the proof and analyze stores in subdirectories.
+        root = tmp_path / ".lab_cache"
+        store = ArtifactStore(root)
+        proofs = ProofCache(root / "proofs")
+        keys = [cache_key(Job("j", square, {"x": x})) for x in range(4)]
+        for i, key in enumerate(keys):
+            store.put(key, list(range(100)), meta={"i": i})
+            proofs.put(key, {"holds": True, "i": i})
+            for path in store._paths(key) + proofs._paths(key):
+                os.utime(path, (1000 + i, 1000 + i))
+        stats = store.stats()
+        assert stats["entries"] == 4
+        assert stats["bytes"] == sum(p.stat().st_size for k in keys
+                                     for p in store._paths(k))
+        # Oldest first, each artifact with its sidecar.
+        report = store.prune(stats["bytes"] // 2)
+        assert report["removed"] == 2
+        for key in keys[:2]:
+            assert not any(p.exists() for p in store._paths(key))
+        for key in keys[2:]:
+            assert store.get(key) == list(range(100))
+        assert store.prune_stale() == {"removed_stale": 0,
+                                       "kept_entries": 2}
+        assert store.prune(0)["removed"] == 2
+        assert list(root.glob("??/*")) == []
+        # The nested proof store was never walked.
+        assert proofs.stats()["entries"] == 4
+        for key in keys:
+            assert proofs.get(key)["holds"] is True

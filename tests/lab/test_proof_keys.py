@@ -76,7 +76,7 @@ class TestPruneStale:
         cache = ProofCache(tmp_path)
         key = "cc" + "0" * 62
         cache.put(key, {"kind": "implication", "holds": True})
-        path = cache._path(key)
+        path = cache._paths(key)[0]
         doc = json.loads(path.read_text())
         doc["schema"] = PROOF_SCHEMA - 1
         path.write_text(json.dumps(doc))

@@ -5,8 +5,7 @@ import json
 import pytest
 
 from repro.lab.proofs import (ConeFingerprinter, ProofCache,
-                              cone_payload, implication_key,
-                              prove_implications)
+                              implication_key)
 from repro.lab.tasks import load_circuit
 
 
@@ -54,7 +53,7 @@ def test_corrupted_entry_detected_evicted_reproved(tmp_path):
     key = "cd" + "1" * 62
     cache.put(key, {"kind": "implication", "holds": True,
                     "engine": "bdd", "po": "g", "direction": 0})
-    path = cache._path(key)
+    path = cache._paths(key)[0]
     doc = json.loads(path.read_text())
     doc["holds"] = False                      # tamper: digest mismatch
     path.write_text(json.dumps(doc))
@@ -78,47 +77,12 @@ def test_prune_evicts_oldest_first(tmp_path):
     for i, key in enumerate(keys):
         cache.put(key, {"kind": "implication", "holds": True,
                         "engine": "bdd", "po": f"p{i}", "direction": 1})
-        os.utime(cache._path(key), (1000 + i, 1000 + i))
-    sizes = [cache._path(k).stat().st_size for k in keys]
+        os.utime(cache._paths(key)[0], (1000 + i, 1000 + i))
+    sizes = [cache._paths(k)[0].stat().st_size for k in keys]
     report = cache.prune(max_bytes=sum(sizes[2:]))
     assert report["removed"] == 2
     assert cache.get(keys[0]) is None and cache.get(keys[1]) is None
     assert cache.get(keys[2]) is not None and cache.get(keys[3]) is not None
-
-
-def test_prove_implications_in_process(tiny_pair):
-    original, approx, directions = tiny_pair
-    fp = ConeFingerprinter()
-    jobs = []
-    for po, direction in directions.items():
-        if original.is_input(po):
-            continue
-        d = 1 if direction == 1 else 0
-        jobs.append({
-            "key": implication_key(fp, original, approx, po, d),
-            "original": cone_payload(original, po),
-            "approx": cone_payload(approx, po),
-            "po": po, "direction": d,
-            "node_cap": 100_000, "deadline_s": None})
-    verdicts = prove_implications(jobs, workers=0)
-    assert len(verdicts) == len(jobs)
-    # The synthesis result claims correctness; independent cone proofs
-    # must agree.
-    assert all(v["ok"] and v["holds"] for v in verdicts)
-    assert all(v["engine"] == "bdd" for v in verdicts)
-
-
-def test_worker_reports_undecided_on_tiny_cap(tiny_pair):
-    original, approx, _ = tiny_pair
-    fp = ConeFingerprinter()
-    po = next(p for p in original.outputs if not original.is_input(p))
-    job = {"key": implication_key(fp, original, approx, po, 1),
-           "original": cone_payload(original, po),
-           "approx": cone_payload(approx, po),
-           "po": po, "direction": 1, "node_cap": 2, "deadline_s": None}
-    verdict = prove_implications([job], workers=0)[0]
-    assert verdict["ok"] is False
-    assert verdict["why"] == "BddOverflowError"
 
 
 def test_flow_serves_proofs_on_warm_run(tmp_path):

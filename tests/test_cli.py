@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 
 import pytest
 
@@ -286,6 +287,45 @@ class TestCache:
                      "--max-size", "0", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["removed"] == stats["entries"]
+
+    def test_stats_and_prune_on_checkpoint_store(self, blif_path,
+                                                 tmp_path, capsys):
+        # The same subcommands serve a checkpoint store (.pkl artifacts
+        # with JSON sidecars) with no extra flag.
+        store_dir = tmp_path / "checkpoints"
+        assert main(["ced", "--blif", str(blif_path), "--words", "2",
+                     "--checkpoint-dir", str(store_dir)]) == 0
+        capsys.readouterr()
+        assert main(["cache", "--dir", str(store_dir), "stats"]) == 0
+        assert capsys.readouterr().out.startswith("artifact store")
+        assert main(["cache", "--dir", str(store_dir), "stats",
+                     "--json"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        pickles = sorted(store_dir.glob("*/*.pkl"))
+        assert stats["entries"] == len(pickles) > 0
+        assert stats["bytes"] == sum(
+            p.stat().st_size for p in store_dir.glob("*/*"))
+        assert main(["cache", "--dir", str(store_dir), "prune",
+                     "--stale", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "root": str(store_dir), "removed_stale": 0,
+            "kept_entries": stats["entries"]}
+        # A checkpoint failing its digest is stale; only it goes.
+        victim = pickles[0]
+        victim.write_bytes(victim.read_bytes()[:-1] + b"\x00")
+        os.utime(victim, (1000, 1000))
+        assert main(["cache", "--dir", str(store_dir), "prune",
+                     "--stale", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["removed_stale"] == 1
+        assert report["kept_entries"] == stats["entries"] - 1
+        assert not victim.exists()
+        assert not victim.with_suffix(".json").exists()
+        assert main(["cache", "--dir", str(store_dir), "prune",
+                     "--max-size", "0", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["removed"] == stats["entries"] - 1
+        assert list(store_dir.glob("*/*")) == []
 
     def test_stats_without_json_is_text(self, tmp_path, capsys):
         assert main(["cache", "--dir", str(tmp_path / "none"),
