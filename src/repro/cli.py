@@ -17,7 +17,7 @@ Subcommands:
   circuit and print the summary, cached in ``.lab_cache/analyze/``;
 * ``gen``   — export a suite benchmark (MCNC stand-in) as BLIF;
 * ``sweep`` — drive a (circuit x config) grid of CED flows through
-  ``repro.lab``: parallel workers on a pluggable execution backend
+  ``repro.lab``: parallel workers on an execution backend
   (``local``/``tcp``/``workqueue``), content-addressed caching (killed
   runs resume), and a structured run manifest;
 * ``search`` — budget-governed, resumable evolutionary search over
@@ -45,6 +45,7 @@ from repro.approx import (ApproxConfig, ConfigError, engine_names,
 from repro.bench import load_benchmark
 from repro.ced import run_ced_flow
 from repro.guard import Budget, BudgetExceeded
+from repro.lab.backends import BACKEND_ENV, BACKENDS
 from repro.network import read_blif, write_blif
 from repro.reliability import analyze_reliability
 from repro.synth import quick_map
@@ -56,6 +57,10 @@ EXIT_CONFIG_ERROR = 2
 #: Exit status of a run that exceeded its resource budget in a way the
 #: degradation ladder could not absorb (e.g. --budget-deadline 0).
 EXIT_BUDGET_EXCEEDED = 3
+
+#: ``--backend`` help shared by ``sweep`` and ``search``.
+BACKEND_HELP = (f"lab execution backend: {', '.join(BACKENDS)} "
+                f"(default: {BACKEND_ENV} env, else local)")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -677,10 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", default=None,
         help="worker count, or 'serial' (default: REPRO_LAB_WORKERS "
              "env, else cpu_count()-1)")
-    p_sweep.add_argument(
-        "--backend", default=None,
-        help="execution backend: local, tcp, workqueue (default: "
-             "REPRO_LAB_BACKEND env, else local)")
+    p_sweep.add_argument("--backend", default=None, help=BACKEND_HELP)
     p_sweep.add_argument("--timeout", type=float, default=None,
                          help="per-job timeout in seconds")
     p_sweep.add_argument("--retries", type=int, default=0,
@@ -729,10 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="wall-clock budget; the search stops "
                                "after the generation that exceeds it "
                                "(state is saved; rerun resumes)")
-    p_search.add_argument("--backend", default=None,
-                          help="execution backend: local, tcp, "
-                               "workqueue (default: REPRO_LAB_BACKEND "
-                               "env, else local)")
+    p_search.add_argument("--backend", default=None, help=BACKEND_HELP)
     p_search.add_argument("--workers", default=None,
                           help="worker count, or 'serial'")
     p_search.add_argument("--state-dir", default=".search_state",

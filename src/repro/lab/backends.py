@@ -1,4 +1,4 @@
-"""Pluggable execution backends for the lab scheduler.
+"""Execution backends for the lab scheduler.
 
 The :class:`~repro.lab.executor.LabRunner` scheduling loop (dependency
 resolution, caching, retries, skip/cancel taxonomy, manifests) is
@@ -7,8 +7,13 @@ backend-agnostic: it submits :class:`JobRequest` payloads and collects
 :class:`concurrent.futures.Future` handles.  This module supplies the
 backends behind that seam:
 
-* ``local`` — today's ``ProcessPoolExecutor``, behavior-identical to
-  the pre-backend runner;
+* ``local`` — a :class:`PoolBackend` over a ``ProcessPoolExecutor``;
+* ``workqueue`` — a :class:`PoolBackend` over a ``ThreadPoolExecutor``
+  for many-small-jobs grids, where process-pool pickling overhead
+  dominates the work itself;
+* ``workers="serial"`` — a :class:`PoolBackend` over an inline
+  executor that runs each job in the calling thread as it is
+  submitted (the debugging mode, whatever the backend name);
 * ``tcp`` — a stdlib-only coordinator/worker pair over asyncio sockets
   reusing the serve HTTP framing (:mod:`repro.serve.protocol`): the
   coordinator embeds in the runner process, workers
@@ -21,14 +26,11 @@ backends behind that seam:
   machines join the same grid by running the worker module against the
   coordinator's host/port with the store on a shared filesystem.  The
   coordinator runs named module-level callables sent by the runner —
-  point it only at hosts you trust with code execution;
-* ``workqueue`` — an in-process work-stealing thread pool for
-  many-small-jobs grids, where process-pool pickling overhead dominates
-  the work itself.
+  point it only at hosts you trust with code execution.
 
-Backends are selected with ``LabRunner(backend=...)`` or the
-``REPRO_LAB_BACKEND`` environment variable, and third parties can
-:func:`register_backend` their own.
+Backends are selected by name (:data:`BACKENDS`) with
+``LabRunner(backend=...)`` or the ``REPRO_LAB_BACKEND`` environment
+variable.
 """
 
 from __future__ import annotations
@@ -41,19 +43,28 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import (Executor, Future, ProcessPoolExecutor,
+                                ThreadPoolExecutor)
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .cache import MISS, ArtifactStore
 
-__all__ = ["JobRequest", "ExecutorBackend", "LocalBackend",
-           "TcpBackend", "WorkqueueBackend", "register_backend",
-           "create_backend", "backend_names", "resolve_backend",
+__all__ = ["JobRequest", "ExecutorBackend", "PoolBackend", "TcpBackend",
+           "BACKENDS", "create_backend", "resolve_backend",
            "BACKEND_ENV"]
 
 #: Environment knob selecting the executor backend by name.
 BACKEND_ENV = "REPRO_LAB_BACKEND"
+
+#: The backend names :func:`resolve_backend` accepts.
+BACKENDS = ("local", "tcp", "workqueue")
+
+#: tcp tuning: worker heartbeat period, the silence after which a lease
+#: is presumed dead, and how often one job may be re-dispatched.
+HEARTBEAT_S = 0.25
+STALE_AFTER_S = 4.0
+MAX_REDISPATCH = 1
 
 
 @dataclass
@@ -79,8 +90,6 @@ class ExecutorBackend:
     records that as a failed submission.
     """
 
-    name = "abstract"
-
     def __enter__(self) -> "ExecutorBackend":
         return self
 
@@ -92,27 +101,6 @@ class ExecutorBackend:
 
     def shutdown(self, cancel_futures: bool = False) -> None:
         raise NotImplementedError
-
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-_BACKENDS: "dict[str, Callable[..., ExecutorBackend]]" = {}
-
-
-def register_backend(name: str,
-                     factory: Callable[..., ExecutorBackend]) -> None:
-    """Register a backend factory under ``name``.
-
-    The factory is called as ``factory(workers, cache=..., log=...)``
-    with the resolved integer worker count, the runner's artifact store
-    (or ``None``), and the runner's log callable (or ``None``).
-    """
-    _BACKENDS[name] = factory
-
-
-def backend_names() -> list[str]:
-    return sorted(_BACKENDS)
 
 
 def resolve_backend(value: "str | None" = None) -> str:
@@ -130,40 +118,65 @@ def resolve_backend(value: "str | None" = None) -> str:
     if value is None:
         return "local"
     name = value.strip().lower()
-    if name not in _BACKENDS:
+    if name not in BACKENDS:
         from repro.approx import ConfigError
         raise ConfigError(
             f"unknown lab backend {value!r} "
-            f"(registered: {', '.join(backend_names())})",
+            f"(known: {', '.join(BACKENDS)})",
             field_name=source, value=value)
     return name
 
 
-def create_backend(name: str, workers: int, *,
+def create_backend(name: str, workers: "int | str", *,
                    cache: "ArtifactStore | None" = None,
                    log: "Callable[[str], None] | None" = None
                    ) -> ExecutorBackend:
-    """Instantiate the registered backend ``name``."""
-    return _BACKENDS[resolve_backend(name)](workers, cache=cache,
-                                            log=log)
+    """The backend ``name`` with ``workers`` workers.
+
+    ``workers="serial"`` (see :func:`~repro.lab.resolve_workers`) runs
+    jobs inline whatever the name.  ``cache`` and ``log`` are the
+    runner's artifact store and log callable; only ``tcp`` uses them.
+    """
+    name = resolve_backend(name)
+    if workers == "serial":
+        return PoolBackend(_InlineExecutor())
+    if name == "tcp":
+        return TcpBackend(int(workers), cache=cache, log=log)
+    pool = ProcessPoolExecutor if name == "local" \
+        else ThreadPoolExecutor
+    return PoolBackend(pool(max_workers=int(workers)))
 
 
 # ----------------------------------------------------------------------
-# local: the historical ProcessPoolExecutor
+# local, workqueue and serial: one concurrent.futures executor each
 # ----------------------------------------------------------------------
-class LocalBackend(ExecutorBackend):
-    """One ``ProcessPoolExecutor``; behavior-identical to the
-    pre-backend runner."""
+class _InlineExecutor(Executor):
+    """Runs each job in the calling thread, inside :meth:`submit`.
 
-    name = "local"
+    The future holds the outcome or whatever the call raised, a
+    ``KeyboardInterrupt`` included, so an interrupt mid-job reaches the
+    runner when it collects the future, like one from a pool worker.
+    """
 
-    def __init__(self, workers: int, cache=None, log=None):
-        self.workers = workers
-        self._pool: "ProcessPoolExecutor | None" = None
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except BaseException as exc:
+            future.set_exception(exc)
+        return future
 
-    def __enter__(self) -> "LocalBackend":
-        self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self
+
+class PoolBackend(ExecutorBackend):
+    """A ``concurrent.futures.Executor`` running ``_execute_payload``.
+
+    Jobs in a thread pool cannot be interrupted (SIGALRM is
+    main-thread-only), so there a timeout is best-effort and a hung job
+    keeps its thread.
+    """
+
+    def __init__(self, executor: Executor):
+        self._pool: "Executor | None" = executor
 
     def submit(self, request: JobRequest) -> Future:
         from .executor import _execute_payload
@@ -176,97 +189,6 @@ class LocalBackend(ExecutorBackend):
             self._pool.shutdown(wait=not cancel_futures,
                                 cancel_futures=cancel_futures)
             self._pool = None
-
-
-# ----------------------------------------------------------------------
-# workqueue: in-process work stealing
-# ----------------------------------------------------------------------
-class WorkqueueBackend(ExecutorBackend):
-    """Work-stealing thread pool for many-small-jobs grids.
-
-    Each worker owns a deque: it pops its own work FIFO (submission
-    order) and steals LIFO from the tail of the busiest victim when
-    idle, the classic Blumofe–Leiserson discipline.  Jobs run in
-    threads of the runner process — no pickling, no fork, no per-job
-    process startup — which is exactly right when a grid has thousands
-    of millisecond-scale candidate evaluations (the search workload)
-    and exactly wrong for CPU-hour jobs wanting memory isolation.
-    Timeouts are best-effort only (SIGALRM is main-thread-only); a hung
-    job occupies its thread.
-    """
-
-    name = "workqueue"
-
-    def __init__(self, workers: int, cache=None, log=None):
-        self.workers = max(int(workers), 1)
-        self._deques: "list[collections.deque]" = [
-            collections.deque() for _ in range(self.workers)]
-        self._cv = threading.Condition()
-        self._rr = 0
-        self._stop = False
-        self._threads: list[threading.Thread] = []
-
-    def __enter__(self) -> "WorkqueueBackend":
-        for i in range(self.workers):
-            thread = threading.Thread(target=self._worker, args=(i,),
-                                      name=f"lab-wq-{i}", daemon=True)
-            thread.start()
-            self._threads.append(thread)
-        return self
-
-    def submit(self, request: JobRequest) -> Future:
-        future: Future = Future()
-        with self._cv:
-            if self._stop:
-                raise RuntimeError("workqueue backend is shut down")
-            self._deques[self._rr % self.workers].append(
-                (request, future))
-            self._rr += 1
-            self._cv.notify()
-        return future
-
-    def _take(self, index: int):
-        own = self._deques[index]
-        if own:
-            return own.popleft()
-        victims = sorted(
-            (i for i in range(self.workers) if i != index),
-            key=lambda i: len(self._deques[i]), reverse=True)
-        for victim in victims:
-            if self._deques[victim]:
-                return self._deques[victim].pop()      # steal the tail
-        return None
-
-    def _worker(self, index: int) -> None:
-        from .executor import _execute_payload
-        while True:
-            with self._cv:
-                item = self._take(index)
-                while item is None and not self._stop:
-                    self._cv.wait(timeout=0.2)
-                    item = self._take(index)
-                if item is None:
-                    return
-            request, future = item
-            if not future.set_running_or_notify_cancel():
-                continue
-            outcome = _execute_payload(
-                request.fn, request.params, request.timeout,
-                request.dep_results)
-            future.set_result(outcome)
-
-    def shutdown(self, cancel_futures: bool = False) -> None:
-        with self._cv:
-            self._stop = True
-            if cancel_futures:
-                for deque_ in self._deques:
-                    while deque_:
-                        _, future = deque_.pop()
-                        future.cancel()
-            self._cv.notify_all()
-        for thread in self._threads:
-            thread.join(timeout=None if not cancel_futures else 0.1)
-        self._threads = []
 
 
 # ----------------------------------------------------------------------
@@ -337,32 +259,25 @@ class TcpBackend(ExecutorBackend):
     payloads travel through the shared content-addressed artifact
     store, never inline on the socket.  The monitor task re-dispatches
     a job whose lease went silent (straggler or killed worker) up to
-    ``max_redispatch`` times — first completion wins — and beyond that
-    resolves it as a structured error so the runner records ``failed``
-    and the rest of the grid completes.  Dead spawned workers are
-    respawned (bounded by ``respawn_limit``) the way serve respawns
-    dead shards.
+    :data:`MAX_REDISPATCH` times — first completion wins — and beyond
+    that resolves it as a structured error so the runner records
+    ``failed`` and the rest of the grid completes.  Dead spawned
+    workers are respawned (at most ``2 * workers`` times) the way serve
+    respawns dead shards.
+
+    Transfer keys and lease tokens carry a per-instance nonce, so runs
+    sharing one store (the default ``.lab_cache``) never read each
+    other's dependency or result blobs for a same-named job; each blob
+    is evicted once consumed.
     """
 
-    name = "tcp"
-
     def __init__(self, workers: int, cache=None, log=None, *,
-                 host: str = "127.0.0.1", port: int = 0,
-                 spawn: "int | None" = None,
-                 heartbeat_s: float = 0.25,
-                 stale_after_s: float = 4.0,
-                 max_redispatch: int = 1,
-                 respawn_limit: "int | None" = None):
+                 host: str = "127.0.0.1", port: int = 0):
         self.workers = max(int(workers), 1)
         self.host = host
         self.port = port                 # 0 = pick a free port
-        self.spawn = self.workers if spawn is None else spawn
-        self.heartbeat_s = heartbeat_s
-        self.stale_after_s = stale_after_s
-        self.max_redispatch = max_redispatch
-        self.respawn_limit = (2 * self.workers if respawn_limit is None
-                              else respawn_limit)
         self.log = log
+        self._nonce = os.urandom(8).hex()
         if cache is not None:
             self.store = cache
             self._own_store_root = None
@@ -393,7 +308,7 @@ class TcpBackend(ExecutorBackend):
         if self._start_error is not None:
             raise RuntimeError(
                 f"tcp coordinator failed to start: {self._start_error}")
-        for _ in range(self.spawn):
+        for _ in range(self.workers):
             self._spawn_worker()
         return self
 
@@ -407,8 +322,7 @@ class TcpBackend(ExecutorBackend):
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.lab.worker",
              "--host", self.host, "--port", str(self.port),
-             "--worker-id", wid, "--store", str(self.store.root),
-             "--heartbeat-s", str(self.heartbeat_s)],
+             "--worker-id", wid, "--store", str(self.store.root)],
             env=env, stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL)
         self._procs[wid] = proc
@@ -428,7 +342,8 @@ class TcpBackend(ExecutorBackend):
             "deps_key": None,
         }
         if request.dep_results is not None:
-            deps_key = _transfer_key("deps", request.name)
+            deps_key = _transfer_key(
+                "deps", f"{self._nonce}/{request.name}")
             self.store.put(deps_key, request.dep_results)
             spec["deps_key"] = deps_key
         future: Future = Future()
@@ -555,6 +470,8 @@ class TcpBackend(ExecutorBackend):
             self._leases.pop(token, None)
         job.leases.clear()
         self._jobs.pop(job.name, None)
+        if job.spec["deps_key"] is not None:
+            self.store.evict(job.spec["deps_key"])
         if not job.future.done():
             job.future.set_result(outcome)
 
@@ -589,7 +506,7 @@ class TcpBackend(ExecutorBackend):
                 self._jobs.pop(job.name, None)
                 continue
             job.dispatches += 1
-            token = f"{job.name}@{job.dispatches}"
+            token = f"{self._nonce}/{job.name}@{job.dispatches}"
             lease = _TcpLease(token=token, worker=worker, job=job,
                               last_beat=time.monotonic())
             self._leases[token] = lease
@@ -610,18 +527,21 @@ class TcpBackend(ExecutorBackend):
     def _handle_complete(self, request) -> "tuple[int, dict]":
         doc = self._body(request)
         token = str(doc.get("job", ""))
+        result_key = str(doc.get("result_key", ""))
         lease = self._leases.pop(token, None)
-        if lease is None:
-            return 200, {"ignored": True}      # duplicate completion
-        job = lease.job
-        job.leases.pop(token, None)
-        if job.future.done():
+        job = lease.job if lease is not None else None
+        if job is not None:
+            job.leases.pop(token, None)
+        if job is None or job.future.done():
+            if result_key:                     # duplicate completion
+                self.store.evict(result_key)
             return 200, {"ignored": True}
         status = str(doc.get("status", "error"))
         wall = float(doc.get("wall_time_s", 0.0))
         rss = doc.get("peak_rss_kb")
         if status == "ok":
-            value = self.store.get(str(doc.get("result_key", "")), MISS)
+            value = self.store.get(result_key, MISS)
+            self.store.evict(result_key)
             if value is MISS:
                 outcome = ("error",
                            f"worker {lease.worker} reported ok but the "
@@ -638,7 +558,7 @@ class TcpBackend(ExecutorBackend):
     async def _monitor(self, stop) -> None:
         import asyncio
         while not stop.is_set():
-            await asyncio.sleep(min(self.heartbeat_s, 0.25))
+            await asyncio.sleep(HEARTBEAT_S)
             now = time.monotonic()
             dead_workers = set()
             for wid, proc in list(self._procs.items()):
@@ -647,7 +567,7 @@ class TcpBackend(ExecutorBackend):
                 dead_workers.add(wid)
                 del self._procs[wid]
                 if not self._stopping \
-                        and self._respawns < self.respawn_limit:
+                        and self._respawns < 2 * self.workers:
                     self._respawns += 1
                     self._emit(f"[lab:tcp] worker {wid} died "
                                f"(exit {proc.returncode}); respawning")
@@ -657,7 +577,7 @@ class TcpBackend(ExecutorBackend):
                         self._emit(f"[lab:tcp] respawn failed: {exc}")
             for token, lease in list(self._leases.items()):
                 died = lease.worker in dead_workers
-                stale = now - lease.last_beat > self.stale_after_s
+                stale = now - lease.last_beat > STALE_AFTER_S
                 if not died and not stale:
                     continue
                 self._leases.pop(token, None)
@@ -668,8 +588,8 @@ class TcpBackend(ExecutorBackend):
                 why = (f"worker {lease.worker} died"
                        if died else
                        f"worker {lease.worker} heartbeat lost "
-                       f"(> {self.stale_after_s:.1f}s)")
-                if job.dispatches <= self.max_redispatch \
+                       f"(> {STALE_AFTER_S:.1f}s)")
+                if job.dispatches <= MAX_REDISPATCH \
                         and not self._stopping:
                     self._emit(f"[lab:tcp] {why}; re-dispatching "
                                f"{job.name}")
@@ -680,7 +600,3 @@ class TcpBackend(ExecutorBackend):
                         f"{why} after {job.dispatches} dispatch(es)",
                         now - job.submitted, None))
 
-
-register_backend("local", LocalBackend)
-register_backend("workqueue", WorkqueueBackend)
-register_backend("tcp", TcpBackend)

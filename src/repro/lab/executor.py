@@ -1,14 +1,14 @@
 """Scheduler/executor: ready jobs onto an execution backend.
 
-``LabRunner`` runs a :class:`~repro.lab.job.JobGraph` on a pluggable
-:class:`~repro.lab.backends.ExecutorBackend` — the default ``local``
-process pool, the distributed ``tcp`` coordinator/worker pair, or the
-in-process ``workqueue`` work stealer — or inline in ``serial`` mode
-for debugging.  Jobs get per-job timeouts enforced inside the worker
-via ``SIGALRM``,
-bounded retry on failure, and graceful partial-failure semantics: a
-failed job marks its transitive dependents ``skipped`` instead of
-aborting the whole grid.  Completed artifacts land in the
+``LabRunner`` runs a :class:`~repro.lab.job.JobGraph` through one
+scheduling loop on an :class:`~repro.lab.backends.ExecutorBackend` —
+the default ``local`` process pool, the in-process ``workqueue``
+thread pool, the distributed ``tcp`` coordinator/worker pair, or, in
+``serial`` mode, an inline executor that runs each job in the calling
+thread.  Jobs get per-job timeouts enforced inside the worker via
+``SIGALRM``, bounded retry on failure, and graceful partial-failure
+semantics: a failed job marks its transitive dependents ``skipped``
+instead of aborting the whole grid.  Completed artifacts land in the
 content-addressed :class:`~repro.lab.cache.ArtifactStore`, so
 re-invoking the same grid skips finished jobs and a killed run resumes
 where it left off.  Every run writes a structured manifest under
@@ -135,8 +135,8 @@ def _execute_payload(fn: Callable[..., Any], params: dict[str, Any],
     """
     start = time.perf_counter()
     # SIGALRM can only be armed on the main thread; the workqueue
-    # backend (and any other thread-hosted executor) runs jobs to
-    # completion instead of interrupting them.
+    # backend's thread pool runs jobs to completion instead of
+    # interrupting them.
     use_alarm = bool(timeout) and hasattr(signal, "SIGALRM") \
         and threading.current_thread() is threading.main_thread()
     old_handler = old_timer = None
@@ -246,7 +246,7 @@ class LabRunner:
     """
 
     workers: "int | str | None" = None
-    #: Execution backend name (``local``/``tcp``/``workqueue``/...);
+    #: Execution backend name (``local``/``tcp``/``workqueue``);
     #: ``None`` falls back to ``REPRO_LAB_BACKEND`` then ``local``.
     backend: "str | None" = None
     cache: "ArtifactStore | None" = field(
@@ -282,13 +282,8 @@ class LabRunner:
                    f"workers={workers}, backend={backend_name}")
         interrupt: "BaseException | None" = None
         try:
-            if workers == "serial":
-                self._run_serial(graph, results)
-            else:
-                backend = create_backend(backend_name, int(workers),
-                                         cache=self.cache,
-                                         log=self.log)
-                self._run_backend(graph, results, backend)
+            self._run_backend(graph, results, create_backend(
+                backend_name, workers, cache=self.cache, log=self.log))
         except (KeyboardInterrupt, SystemExit) as exc:
             # Pool teardown (Ctrl-C or a harness kill): the manifest
             # below records what actually happened — in-flight jobs as
@@ -397,72 +392,24 @@ class LabRunner:
         return job.timeout if job.timeout else self.default_timeout
 
     def _cancel(self, graph: JobGraph, name: str,
-                results: dict[str, JobResult], total: int,
-                wall: float = 0.0) -> None:
+                results: dict[str, JobResult], total: int) -> None:
         """Record an in-flight job interrupted by pool teardown."""
         results[name] = JobResult(
             name=name, status="cancelled",
             error="interrupted by pool teardown",
-            wall_time_s=wall, seed=graph.seed_for(name))
+            seed=graph.seed_for(name))
         self._progress(results[name], len(results), total)
 
-    # -- serial mode -----------------------------------------------------
-    def _run_serial(self, graph: JobGraph,
-                    results: dict[str, JobResult]) -> None:
-        total = len(graph)
-        for name in graph.topological_order():
-            if name in results:          # already marked skipped
-                continue
-            if self._shutdown.is_set():
-                return
-            job = graph.job(name)
-            if not all(results[d].ok for d in job.deps):
-                results[name] = JobResult(
-                    name=name, status="skipped",
-                    error="dependency failed",
-                    seed=graph.seed_for(name))
-                self._progress(results[name], len(results), total)
-                continue
-            cached = self._try_cache(graph, job, results)
-            if cached is not None:
-                results[name] = cached
-                self._progress(cached, len(results), total)
-                continue
-            attempts = 0
-            started = time.perf_counter()
-            while True:
-                attempts += 1
-                try:
-                    outcome = _execute_payload(
-                        job.fn, job.params, self._timeout_of(job),
-                        self._dep_results(job, results))
-                except (KeyboardInterrupt, SystemExit):
-                    # _execute_payload only absorbs Exception; an
-                    # interrupt mid-job is a teardown, not a failure.
-                    self._cancel(graph, name, results, total,
-                                 wall=time.perf_counter() - started)
-                    raise
-                if outcome[0] == "ok" \
-                        or attempts > self._retries_of(job):
-                    break
-                self._emit(f"[lab] retry {name} "
-                           f"(attempt {attempts + 1})")
-            result = self._finish(graph, job, attempts, outcome,
-                                  results)
-            if not result.ok:
-                self._skip_dependents(graph, name, results, total)
-            self._progress(result, len(results), total)
-
-    # -- backend mode ----------------------------------------------------
+    # -- scheduling loop -------------------------------------------------
     def _run_backend(self, graph: JobGraph,
                      results: dict[str, JobResult],
                      backend: ExecutorBackend) -> None:
         """Drive the graph on any :class:`ExecutorBackend`.
 
-        This is the historical process-pool scheduling loop with the
-        executor behind the :class:`ExecutorBackend` seam; with the
-        ``local`` backend it is move-for-move identical to the old
-        ``_run_pool``.
+        Every mode runs this one loop.  A pool backend runs the whole
+        ready set at once; the serial executor runs each job inside
+        ``submit``, so the loop harvests it (or the interrupt it
+        raised) before starting the next.
         """
         total = len(graph)
         pending = set(graph.names)
@@ -470,7 +417,7 @@ class LabRunner:
 
         with backend:
 
-            def submit(job: Job, attempts: int) -> bool:
+            def submit(job: Job, attempts: int) -> "Future | None":
                 try:
                     future = backend.submit(JobRequest(
                         name=job.name, fn=job.fn, params=job.params,
@@ -482,15 +429,24 @@ class LabRunner:
                         error=f"submit failed: {exc}",
                         attempts=attempts,
                         seed=graph.seed_for(job.name))
-                    return False
+                    return None
                 running[future] = (job.name, attempts)
-                return True
+                return future
 
             def schedule_ready() -> bool:
-                """Launch/cache-resolve every ready job; True if moved."""
+                """Launch/cache-resolve every ready job; True if moved.
+
+                The pass stops at a shutdown request, and once a job it
+                launched has already finished (serial mode), so no job
+                starts before a finished one is harvested.
+                """
+                if any(future.done() for future in running):
+                    return False       # e.g. a serial retry: harvest
                 progressed = False
                 in_flight = {name for name, _ in running.values()}
                 for name in sorted(pending):
+                    if self._shutdown.is_set():
+                        break
                     if name in in_flight or name in results:
                         continue
                     job = graph.job(name)
@@ -513,13 +469,16 @@ class LabRunner:
                         self._progress(cached, len(results), total)
                         progressed = True
                         continue
-                    if submit(job, 1):
-                        progressed = True
-                    else:
+                    future = submit(job, 1)
+                    if future is None:
                         pending.discard(name)
                         self._skip_dependents(graph, name, results, total)
                         self._progress(results[name], len(results),
                                        total)
+                        continue
+                    progressed = True
+                    if future.done():
+                        break
                 return progressed
 
             def teardown(current: "str | None" = None) -> None:
@@ -535,13 +494,13 @@ class LabRunner:
 
             try:
                 while pending or running:
+                    moved = schedule_ready()
                     if self._shutdown.is_set():
                         teardown()
                         return
-                    moved = schedule_ready()
-                    if moved:
-                        continue    # cache hits may unblock more jobs
                     if not running:
+                        if moved:
+                            continue    # cache hits may unblock more
                         # Nothing runnable and nothing running:
                         # remaining jobs are unreachable (defensive;
                         # validate() should have caught cycles).
@@ -553,10 +512,12 @@ class LabRunner:
                                     seed=graph.seed_for(name))
                         pending.clear()
                         break
-                    # The timeout keeps request_shutdown() responsive.
+                    # Harvest without blocking while the ready set
+                    # still moves; otherwise the timeout keeps
+                    # request_shutdown() responsive.
                     finished, _ = wait(running,
                                        return_when=FIRST_COMPLETED,
-                                       timeout=0.25)
+                                       timeout=0 if moved else 0.25)
                     for future in finished:
                         name, attempts = running.pop(future)
                         job = graph.job(name)

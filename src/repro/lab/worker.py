@@ -24,9 +24,15 @@ import json
 import threading
 import time
 
+from .backends import HEARTBEAT_S, _transfer_key, resolve_fn_reference
 from .cache import MISS, ArtifactStore
 
 __all__ = ["main", "WorkerLoop"]
+
+#: Pause between lease polls while the queue is empty, and the socket
+#: timeout of one request to the coordinator.
+POLL_S = 0.05
+HTTP_TIMEOUT_S = 10.0
 
 
 class _CoordinatorGone(Exception):
@@ -37,21 +43,17 @@ class WorkerLoop:
     """One worker process's lease/run/complete loop."""
 
     def __init__(self, host: str, port: int, worker_id: str,
-                 store: ArtifactStore, *, heartbeat_s: float = 0.25,
-                 poll_s: float = 0.05, timeout: float = 10.0):
+                 store: ArtifactStore):
         self.host = host
         self.port = port
         self.worker_id = worker_id
         self.store = store
-        self.heartbeat_s = heartbeat_s
-        self.poll_s = poll_s
-        self.timeout = timeout
 
     # -- wire ------------------------------------------------------------
     def _post(self, path: str, doc: dict) -> "tuple[int, dict]":
         """One POST on a fresh connection; simple beats clever here."""
         conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
+                                          timeout=HTTP_TIMEOUT_S)
         try:
             body = json.dumps(doc).encode("utf-8")
             try:
@@ -74,14 +76,13 @@ class WorkerLoop:
 
     # -- one job ---------------------------------------------------------
     def _run_job(self, spec: dict) -> None:
-        from .backends import _transfer_key, resolve_fn_reference
         from .executor import _execute_payload
 
         token = spec["job"]
         stop_beat = threading.Event()
 
         def beat() -> None:
-            while not stop_beat.wait(self.heartbeat_s):
+            while not stop_beat.wait(HEARTBEAT_S):
                 try:
                     _, doc = self._post("/v1/lab/heartbeat",
                                         {"worker": self.worker_id,
@@ -113,7 +114,7 @@ class WorkerLoop:
                        time.perf_counter() - started, None)
         finally:
             stop_beat.set()
-        beater.join(timeout=2 * self.heartbeat_s)
+        beater.join(timeout=2 * HEARTBEAT_S)
 
         status, payload, wall, rss = outcome
         report = {"worker": self.worker_id, "job": token,
@@ -140,7 +141,7 @@ class WorkerLoop:
             if doc.get("shutdown"):
                 return 0
             if status != 200 or "job" not in doc:
-                time.sleep(self.poll_s)
+                time.sleep(POLL_S)
                 continue
             try:
                 self._run_job(doc)
@@ -158,17 +159,13 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--store", required=True,
                         help="shared artifact-store root "
                              "(the result transfer medium)")
-    parser.add_argument("--heartbeat-s", type=float, default=0.25)
-    parser.add_argument("--poll-s", type=float, default=0.05)
     args = parser.parse_args(argv)
     worker_id = args.worker_id
     if worker_id is None:
         import os
         worker_id = f"pid{os.getpid()}"
     loop = WorkerLoop(args.host, args.port, worker_id,
-                      ArtifactStore(args.store),
-                      heartbeat_s=args.heartbeat_s,
-                      poll_s=args.poll_s)
+                      ArtifactStore(args.store))
     return loop.run_forever()
 
 

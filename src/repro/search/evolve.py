@@ -5,8 +5,9 @@ per circuit from reliability analysis.  This module treats that
 checker as the seed of a population and searches its neighborhood for
 strictly better trade-offs: every generation mutates the fittest
 candidates (:mod:`repro.search.mutate`), evaluates the offspring as a
-:mod:`repro.lab` job grid on any execution backend (``local``,
-``tcp``, ``workqueue``), and keeps the top ``population`` of parents +
+:mod:`repro.lab` job grid through the lab's one scheduling loop, in any
+mode (``serial``, ``local``, ``workqueue``, ``tcp``), with identical
+results, and keeps the top ``population`` of parents +
 children (elitism: the paper-flow baseline can only ever be improved
 upon, never lost, so the search result is always at least as good as
 the paper's checker).

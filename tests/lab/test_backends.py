@@ -1,4 +1,5 @@
-"""Backend parity: local, tcp (loopback), workqueue run the same grids.
+"""Backend parity: serial, local, tcp (loopback), workqueue run the
+same grids.
 
 The contract: the backend changes *where* jobs execute, never *what*
 they compute or how the runner accounts for them.  Every backend must
@@ -8,29 +9,37 @@ tcp-specific resilience properties (worker death -> structured
 ``failed``, grid completes).
 """
 
+import json
 import threading
-import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.lab import (BACKEND_ENV, ArtifactStore, Job, JobGraph,
-                       LabRunner, load_manifest, merge_manifests,
-                       resolve_backend, validate_manifest)
+                       JobRequest, LabRunner, TcpBackend, load_manifest,
+                       merge_manifests, resolve_backend,
+                       validate_manifest)
 from repro.approx import ConfigError
 
 from .helpers import (add_seeded, always_fail, combine, kill_worker,
                       spin, square)
 
-BACKENDS = ("local", "tcp", "workqueue")
+#: The execution modes under test.  ``serial`` is a worker count, not a
+#: backend name: it runs jobs inline under the default ``local`` name.
+BACKENDS = ("local", "tcp", "workqueue", "serial")
+
+
+def backend_name(mode):
+    return "local" if mode == "serial" else mode
 
 
 def runner_for(backend, tmp_path, **kwargs):
-    kwargs.setdefault("workers", 2)
+    kwargs.setdefault("workers", "serial" if backend == "serial" else 2)
     kwargs.setdefault("log", None)
     kwargs.setdefault("cache",
                       ArtifactStore(tmp_path / backend / "cache"))
     kwargs.setdefault("results_dir", tmp_path / backend / "results")
-    return LabRunner(backend=backend, **kwargs)
+    return LabRunner(backend=backend_name(backend), **kwargs)
 
 
 def demo_graph():
@@ -47,13 +56,13 @@ class TestBackendParity:
         records = {}
         for backend in BACKENDS:
             run = runner_for(backend, tmp_path).run(demo_graph())
-            assert run.backend == backend
+            assert run.backend == backend_name(backend)
             records[backend] = {
                 name: (result.status, result.value, result.seed)
                 for name, result in run.results.items()}
             doc = load_manifest(run.manifest_path)
             assert validate_manifest(doc) == []
-            assert doc["backend"] == backend
+            assert doc["backend"] == backend_name(backend)
         reference = records["local"]
         assert reference["sum"] == ("ok", 4 + 9, reference["sum"][2])
         for backend in BACKENDS[1:]:
@@ -100,10 +109,10 @@ class TestBackendParity:
         # A cache written by one backend serves any other: results are
         # content-addressed, not backend-addressed.
         cache = ArtifactStore(tmp_path / "shared-cache")
-        first = LabRunner(backend="local", workers=2, cache=cache,
-                          results_dir=None, log=None).run(demo_graph())
-        again = LabRunner(backend=backend, workers=2, cache=cache,
-                          results_dir=None, log=None).run(demo_graph())
+        first = runner_for("local", tmp_path, cache=cache,
+                           results_dir=None).run(demo_graph())
+        again = runner_for(backend, tmp_path, cache=cache,
+                           results_dir=None).run(demo_graph())
         assert all(r.status == "cached"
                    for r in again.results.values())
         assert again.values() == first.values()
@@ -135,6 +144,31 @@ class TestTcpResilience:
         assert run.results["lambda"].status == "failed"
         assert "submit failed" in run.results["lambda"].error
         assert run.results["fine"].status == "ok"
+
+    def test_runs_sharing_a_store_keep_their_transfer_blobs(
+            self, tmp_path):
+        # Two coordinators on one store (two sweeps sharing
+        # .lab_cache) submit a same-named job with different
+        # dependency values; no loop or worker is started, the
+        # enqueued jobs are captured and leased by hand.
+        store = ArtifactStore(tmp_path / "shared")
+        leased = {}
+        for tag in ("first", "second"):
+            backend = TcpBackend(1, cache=store)
+            captured = []
+            backend._loop = SimpleNamespace(
+                call_soon_threadsafe=lambda fn, job: captured.append(job))
+            backend.submit(JobRequest(name="sum", fn=combine, params={},
+                                      dep_results={"dep": tag}))
+            backend._enqueue(captured[0])
+            _, spec = backend._handle_lease(
+                SimpleNamespace(body=json.dumps({"worker": "w0"})
+                                .encode()))
+            leased[tag] = spec
+        for tag, spec in leased.items():
+            assert store.get(spec["deps_key"]) == {"dep": tag}
+        # Lease tokens name the worker's result blob: distinct too.
+        assert leased["first"]["job"] != leased["second"]["job"]
 
 
 class TestMergeManifests:

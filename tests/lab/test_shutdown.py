@@ -124,3 +124,32 @@ class TestRequestShutdown:
         doc = read_manifest(tmp_path / "results", "serial-stop")
         assert validate_manifest(doc) == []
         assert doc["jobs"] == {}
+
+    def test_serial_job_requesting_shutdown_stops_the_run(self,
+                                                          tmp_path):
+        runner = quiet_runner(workers="serial",
+                              results_dir=tmp_path / "results")
+        ran = []
+
+        def record(name):
+            ran.append(name)
+            return name
+
+        def stop(name):
+            runner.request_shutdown()
+            return record(name)
+
+        graph = JobGraph([
+            Job("a", stop, params={"name": "a"}),
+            Job("b", record, params={"name": "b"}),
+            Job("c", record, params={"name": "c"}),
+            Job("d", record, params={"name": "d"}, deps=("a",)),
+        ])
+        run = runner.run(graph, run_id="serial-self-stop")
+        assert ran == ["a"]              # no ready job started after it
+        # The job finished but was never harvested: a teardown victim.
+        assert {n: r.status for n, r in run.results.items()} \
+            == {"a": "cancelled"}
+        doc = read_manifest(tmp_path / "results", "serial-self-stop")
+        assert validate_manifest(doc) == []
+        assert list(doc["jobs"]) == ["a"]
