@@ -7,7 +7,7 @@ Times the three layers the fault-injection stack is built on and emits
   per-cube interpreter, on every generator-suite circuit;
 * **campaign throughput** (fault-vectors/sec): the shared-golden
   batched campaign vs the seed engine (fresh vectors + interpreted
-  golden + Python cone overlay per fault) and the per-fault tape mode;
+  golden + Python cone overlay per fault);
 * **end-to-end flow**: wall-clock of ``run_ced_flow`` on a subset of
   the suite.
 
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 import time
@@ -96,14 +97,7 @@ def bench_circuit(name: str, circuit, n_words: int,
     legacy_fvps = len(legacy_faults) * vectors / legacy_seconds
 
     t0 = time.perf_counter()
-    run_campaign(mapped, n_words=n_words, seed=2008,
-                 faults=legacy_faults, vector_mode="per-fault")
-    per_fault_seconds = time.perf_counter() - t0
-    per_fault_fvps = len(legacy_faults) * vectors / per_fault_seconds
-
-    t0 = time.perf_counter()
-    run_campaign(mapped, n_words=n_words, seed=2008, faults=faults,
-                 vector_mode="shared")
+    run_campaign(mapped, n_words=n_words, seed=2008, faults=faults)
     shared_seconds = time.perf_counter() - t0
     shared_fvps = len(faults) * vectors / shared_seconds
 
@@ -124,11 +118,6 @@ def bench_circuit(name: str, circuit, n_words: int,
                 "faults_timed": len(legacy_faults),
                 "seconds": round(legacy_seconds, 3),
                 "fault_vectors_per_sec": round(legacy_fvps),
-            },
-            "per_fault_tape": {
-                "faults_timed": len(legacy_faults),
-                "seconds": round(per_fault_seconds, 3),
-                "fault_vectors_per_sec": round(per_fault_fvps),
             },
             "shared_batched": {
                 "faults_timed": len(faults),
@@ -182,6 +171,8 @@ def main(argv=None) -> int:
 
     report = {
         "meta": {
+            "machine": f"{platform.machine()}, "
+                       f"{os.cpu_count()} logical CPUs",
             "python": platform.python_version(),
             "numpy": np.__version__,
             "quick": args.quick,

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
+from repro.sim import MAX_EXHAUSTIVE_INPUTS
+
 #: Error metrics understood by :class:`ErrorSpec` (Mrazek,
 #: arXiv:2205.03267 nomenclature): error rate, mean error distance,
 #: worst-case error.
@@ -55,9 +57,10 @@ class ErrorSpec:
       a non-negative absolute value.
 
     ``exact_threshold`` caps the input-count up to which metrics are
-    evaluated exhaustively on the compiled simulator (2^n vectors);
-    beyond it the evaluator uses exact BDD sweeps where the metric
-    permits and Monte-Carlo upper bounds otherwise.
+    evaluated exhaustively on the compiled simulator (2^n vectors; at
+    most :data:`~repro.sim.MAX_EXHAUSTIVE_INPUTS`); beyond it the
+    evaluator uses exact BDD sweeps where the metric permits and
+    Monte-Carlo upper bounds otherwise.
     """
 
     metric: str = ""
@@ -94,6 +97,13 @@ class ErrorSpec:
             raise ConfigError("exact_threshold must be a non-negative int",
                               field_name="error.exact_threshold",
                               value=self.exact_threshold)
+        if self.exact_threshold > MAX_EXHAUSTIVE_INPUTS:
+            raise ConfigError(
+                "exact_threshold is at most "
+                f"{MAX_EXHAUSTIVE_INPUTS} (exhaustive simulation "
+                f"of 2^{self.exact_threshold} vectors)",
+                field_name="error.exact_threshold",
+                value=self.exact_threshold)
 
     @classmethod
     def from_value(cls, value) -> "ErrorSpec | None":

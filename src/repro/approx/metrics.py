@@ -28,7 +28,8 @@ import numpy as np
 from repro.bdd import BddOverflowError
 from repro.flow import AnalysisContext
 from repro.network import GlobalBdds, Network, dfs_input_order
-from repro.sim import get_simulator, popcount, switching_activity
+from repro.sim import (exhaustive_inputs, get_simulator, popcount,
+                       switching_activity)
 from repro.synth.netlist import MappedNetlist
 
 
@@ -254,28 +255,6 @@ class ErrorEvaluation:
                 po: [int(c), int(t)]
                 for po, (c, t) in self.per_output_counts.items()}
         return doc
-
-
-def exhaustive_inputs(n_inputs: int) -> np.ndarray:
-    """All ``2^n`` input vectors, bit-packed: shape ``(n, words)``.
-
-    Vector ``v`` lives at word ``v // 64``, bit ``v % 64``; input ``i``
-    of vector ``v`` is ``(v >> i) & 1``.
-    """
-    n_words = 1 << max(n_inputs - 6, 0)
-    rows = np.empty((n_inputs, n_words), dtype=np.uint64)
-    w = np.arange(n_words, dtype=np.uint64)
-    for i in range(min(n_inputs, 6)):
-        const = np.uint64(0)
-        for b in range(64):
-            if (b >> i) & 1:
-                const |= np.uint64(1) << np.uint64(b)
-        rows[i] = const
-    for i in range(6, n_inputs):
-        rows[i] = np.where(
-            (w >> np.uint64(i - 6)) & np.uint64(1),
-            np.uint64(0xFFFFFFFFFFFFFFFF), np.uint64(0))
-    return rows
 
 
 def _unpack_bits(words: np.ndarray, n_vectors: int) -> np.ndarray:

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.network import Network
 from repro.cubes import Cover
-from repro.sim import get_simulator, popcount
+from repro.sim import exhaustive_inputs, get_simulator, popcount
 
 from .engine import ApproxEngine
 
@@ -114,7 +114,7 @@ def _propose(network: Network, n_words: int,
 def _screen_value(original: Network, approx: Network, spec,
                   n_words: int, seed: int) -> float:
     """Cheap (possibly unsound) metric estimate for candidate scoring."""
-    from .metrics import _error_words, exhaustive_inputs
+    from .metrics import _error_words
     n = len(original.inputs)
     if n <= spec.exact_threshold:
         pi = exhaustive_inputs(n)

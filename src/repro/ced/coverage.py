@@ -6,10 +6,9 @@ the fraction of runs with an erroneous primary output on which the CED
 logic flags an invalid codeword (the consolidated two-rail pair becomes
 non-complementary).
 
-The default campaign shares one vector block and one golden simulation
-across all faults and evaluates faults in batches on the compiled tape;
-``vector_mode="per-fault"`` restores the seed engine's fresh-vectors-
-per-fault sampling.
+The campaign shares one vector block and one golden simulation across
+all faults and evaluates faults in lanes on the compiled tape (see
+:mod:`repro.sim.faultsim`).
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sim import (DEFAULT_BATCH, WORD_BITS, Fault, batched,
-                       get_simulator, popcount)
+from repro.sim import WORD_BITS, Fault, batched, get_simulator, popcount
 
 from .architecture import CedAssembly
 
@@ -55,8 +53,6 @@ class CoverageResult:
 def evaluate_ced(assembly: CedAssembly, n_words: int = 8,
                  seed: int = 2008,
                  faults: list[Fault] | None = None,
-                 vector_mode: str = "shared",
-                 batch_size: int = DEFAULT_BATCH,
                  ctx=None) -> CoverageResult:
     """Fault-simulate a CED assembly and measure coverage.
 
@@ -71,61 +67,43 @@ def evaluate_ced(assembly: CedAssembly, n_words: int = 8,
     if faults is None:
         faults = [Fault(site, v) for site in assembly.fault_sites
                   for v in (0, 1)]
+    rng = np.random.default_rng(seed)
+    golden = sim.run(sim.random_inputs(rng, n_words))
+    scratches = (sim.run_stuck_batch(golden, batch)
+                 for batch in batched(faults, sim))
+    return tally_coverage(sim, assembly, golden, scratches, len(faults))
+
+
+def tally_coverage(sim, assembly: CedAssembly, golden: np.ndarray,
+                   scratches, n_faults: int) -> CoverageResult:
+    """Coverage counts of faulty value cubes against one golden block.
+
+    ``scratches`` yields ``(S, B, W)`` cubes, one lane per fault, all
+    simulated on the vectors of ``golden``.  The fault-free CED must
+    report a valid (complementary) codeword on every vector; vectors
+    where it does not (possible only for statistically checked
+    approximations) are excluded.  The block is shared, so the
+    per-fault exclusion count is uniform.
+    """
     po_indices = [sim.index[assembly.netlist.po_signals[po]]
                   for po in assembly.original.outputs]
     e0 = sim.index[assembly.error_pair[0]]
     e1 = sim.index[assembly.error_pair[1]]
-    rng = np.random.default_rng(seed)
-
-    runs = error_runs = detected_error = detected_all = false_alarms = 0
-    golden_invalid = 0
-    if vector_mode == "shared":
-        golden = sim.run(sim.random_inputs(rng, n_words))
-        # Fault-free CED must report a valid (complementary) codeword on
-        # every vector; vectors where it does not (possible only for
-        # statistically checked approximations) are excluded.  The block
-        # is shared, so the per-fault exclusion count is uniform.
-        valid = golden[e0] ^ golden[e1]
-        golden_invalid = popcount(~valid) * len(faults)
-        golden_po = golden[po_indices]
-        runs = len(faults) * n_words * WORD_BITS
-        for batch in batched(faults, sim, batch_size):
-            scratch = sim.run_stuck_batch(golden, batch)
-            diff = scratch[po_indices] ^ golden_po[:, None, :]
-            error_mask = np.bitwise_or.reduce(diff, axis=0) & valid
-            detect_mask = ~(scratch[e0] ^ scratch[e1]) & valid
-            error_runs += popcount(error_mask)
-            detected_error += popcount(error_mask & detect_mask)
-            detected_all += popcount(detect_mask)
-            false_alarms += popcount(detect_mask & ~error_mask)
-    elif vector_mode == "per-fault":
-        for fault in faults:
-            pi_words = sim.random_inputs(rng, n_words)
-            golden = sim.run(pi_words)
-            valid = golden[e0] ^ golden[e1]
-            golden_invalid += popcount(~valid)
-            overlay = sim.run_fault(golden, fault.signal, fault.stuck)
-            runs += n_words * WORD_BITS
-
-            error_mask = np.zeros(n_words, dtype=np.uint64)
-            for idx in po_indices:
-                error_mask |= golden[idx] ^ overlay.get(idx, golden[idx])
-            error_mask &= valid
-            f0 = overlay.get(e0, golden[e0])
-            f1 = overlay.get(e1, golden[e1])
-            detect_mask = ~(f0 ^ f1) & valid  # equal rails = invalid
-
-            error_runs += popcount(error_mask)
-            detected_error += popcount(error_mask & detect_mask)
-            detected_all += popcount(detect_mask)
-            false_alarms += popcount(detect_mask & ~error_mask)
-    else:
-        raise ValueError(f"unknown vector_mode {vector_mode!r}; "
-                         "expected 'shared' or 'per-fault'")
+    valid = golden[e0] ^ golden[e1]
+    golden_po = golden[po_indices]
+    error_runs = detected_error = detected_all = false_alarms = 0
+    for scratch in scratches:
+        diff = scratch[po_indices] ^ golden_po[:, None, :]
+        error_mask = np.bitwise_or.reduce(diff, axis=0) & valid
+        detect_mask = ~(scratch[e0] ^ scratch[e1]) & valid  # equal rails
+        error_runs += popcount(error_mask)
+        detected_error += popcount(error_mask & detect_mask)
+        detected_all += popcount(detect_mask)
+        false_alarms += popcount(detect_mask & ~error_mask)
     return CoverageResult(
-        runs=runs,
+        runs=n_faults * golden.shape[1] * WORD_BITS,
         error_runs=error_runs,
         detected_error_runs=detected_error,
         detected_runs=detected_all,
         false_alarms=false_alarms,
-        golden_invalid=golden_invalid)
+        golden_invalid=popcount(~valid) * n_faults)

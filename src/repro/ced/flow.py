@@ -125,24 +125,6 @@ class CedFlowResult:
         return json.dumps(self.summary(), **dumps_kwargs)
 
 
-def _synthesize_with_floor(network: Network, directions: dict[str, int],
-                           config: ApproxConfig, min_approx_pct: float,
-                           ctx: AnalysisContext | None = None,
-                           record: PassRecord | None = None,
-                           budget: Budget | None = None
-                           ) -> tuple[ApproxResult, dict[str, float]]:
-    """Engine dispatch for synthesis under the flow's quality floor.
-
-    The quality-floor retry ladder itself moved to
-    :class:`repro.approx.engine.CubeSelectionEngine` (bit-identical);
-    this shim keeps the historical entry point and routes any
-    configured engine.
-    """
-    return get_engine(config.engine).synthesize_with_floor(
-        network, directions, config, min_approx_pct, ctx=ctx,
-        record=record, budget=budget)
-
-
 # ----------------------------------------------------------------------
 # The CED pipeline as passes
 # ----------------------------------------------------------------------

@@ -92,7 +92,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         default=None, metavar="N",
                         help="input count up to which the error is "
                              "evaluated by exhaustive simulation "
-                             "(default: 12)")
+                             "(default: 12, at most 24)")
 
 
 def _config_from(args: argparse.Namespace) -> ApproxConfig:

@@ -40,27 +40,22 @@ class ReliabilityReport:
 
 
 def analyze_reliability(circuit, n_words: int = 8, seed: int = 2008,
-                        faults=None,
-                        vector_mode: str = "shared",
-                        ctx=None) -> ReliabilityReport:
+                        faults=None, ctx=None) -> ReliabilityReport:
     """Monte Carlo reliability analysis of a (mapped) circuit.
 
     Injects every single stuck-at fault against random vectors, tallies
     output error directions, picks the dominant direction per output,
     and computes the maximum CED coverage achievable by protecting only
     the dominant direction at every output (Table 1's "Max." column).
-    ``vector_mode`` selects the campaign sampling scheme (see
-    :func:`repro.sim.run_campaign`).
     """
     report = run_campaign(circuit, n_words=n_words, seed=seed,
-                          faults=faults, vector_mode=vector_mode)
+                          faults=faults)
     directions = {po: stats.dominant_direction
                   for po, stats in report.per_output.items()}
     approximations = {po: 0 if direction == "0->1" else 1
                       for po, direction in directions.items()}
     max_cov = max_ced_coverage(circuit, approximations, n_words=n_words,
-                               seed=seed + 1, faults=faults,
-                               vector_mode=vector_mode, ctx=ctx)
+                               seed=seed + 1, faults=faults, ctx=ctx)
     return ReliabilityReport(
         per_output=report.per_output,
         directions=directions,
@@ -72,8 +67,7 @@ def analyze_reliability(circuit, n_words: int = 8, seed: int = 2008,
 
 def max_ced_coverage(circuit, approximations: dict[str, int],
                      n_words: int = 8, seed: int = 2008,
-                     faults=None, vector_mode: str = "shared",
-                     ctx=None) -> float:
+                     faults=None, ctx=None) -> float:
     """Coverage upper bound for direction-protecting CED.
 
     A run with an erroneous output is *detectable* when at least one
@@ -86,47 +80,23 @@ def max_ced_coverage(circuit, approximations: dict[str, int],
     if faults is None:
         faults = fault_list(circuit)
     rng = np.random.default_rng(seed)
-    error_runs = 0
-    detectable_runs = 0
-    if vector_mode == "shared":
-        golden = sim.run(sim.random_inputs(rng, n_words))
-        golden_out = sim.outputs_of(golden)
-        # Per-output direction masks: True = protect 0->1 errors.
-        protect_up = np.array(
-            [approximations.get(po, 0) == 0 for po in sim.output_names],
-            dtype=bool)
-        for batch in batched(faults, sim):
-            diff = sim.run_stuck_batch(golden, batch)[
-                sim.output_indices] ^ golden_out[:, None, :]
-            lifted = golden_out[:, None, :]
-            detectable = np.where(protect_up[:, None, None],
-                                  diff & ~lifted, diff & lifted)
-            any_error = np.bitwise_or.reduce(diff, axis=0)
-            any_detectable = np.bitwise_or.reduce(detectable, axis=0)
-            error_runs += popcount(any_error)
-            detectable_runs += popcount(any_detectable & any_error)
-    else:
-        for fault in faults:
-            pi_words = sim.random_inputs(rng, n_words)
-            golden = sim.run(pi_words)
-            overlay = sim.run_fault(golden, fault.signal, fault.stuck)
-            golden_out = sim.outputs_of(golden)
-            faulty_out = sim.faulty_outputs(golden, overlay)
-            diff = golden_out ^ faulty_out
-            if not diff.any():
-                continue
-            n_words_here = golden.shape[1]
-            any_error = np.zeros(n_words_here, dtype=np.uint64)
-            any_detectable = np.zeros(n_words_here, dtype=np.uint64)
-            for po, g_row, d_row in zip(sim.output_names, golden_out,
-                                        diff):
-                any_error |= d_row
-                if approximations.get(po, 0) == 0:
-                    any_detectable |= d_row & ~g_row   # 0->1 errors
-                else:
-                    any_detectable |= d_row & g_row    # 1->0 errors
-            error_runs += popcount(any_error)
-            detectable_runs += popcount(any_detectable & any_error)
+    golden = sim.run(sim.random_inputs(rng, n_words))
+    golden_out = sim.outputs_of(golden)
+    lifted = golden_out[:, None, :]
+    # Per-output direction masks: True = protect 0->1 errors.
+    protect_up = np.array(
+        [approximations.get(po, 0) == 0 for po in sim.output_names],
+        dtype=bool)
+    error_runs = detectable_runs = 0
+    for batch in batched(faults, sim):
+        diff = sim.run_stuck_batch(golden, batch)[
+            sim.output_indices] ^ lifted
+        detectable = np.where(protect_up[:, None, None],
+                              diff & ~lifted, diff & lifted)
+        any_error = np.bitwise_or.reduce(diff, axis=0)
+        any_detectable = np.bitwise_or.reduce(detectable, axis=0)
+        error_runs += popcount(any_error)
+        detectable_runs += popcount(any_detectable & any_error)
     if error_runs == 0:
         return 0.0
     return detectable_runs / error_runs

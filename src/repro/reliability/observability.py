@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sim import (DEFAULT_BATCH, WORD_BITS, bit_count,
+from repro.sim import (DEFAULT_BATCH, WORD_BITS, batched, bit_count,
                        get_simulator)
 
 
 def global_observabilities(circuit, n_words: int = 16,
                            seed: int = 2008,
-                           signals: list[str] | None = None,
-                           batch_size: int = DEFAULT_BATCH
+                           signals: list[str] | None = None
                            ) -> dict[str, float]:
     """Monte Carlo global observability of each signal.
 
@@ -32,30 +31,19 @@ def global_observabilities(circuit, n_words: int = 16,
     sim = get_simulator(circuit)
     rng = np.random.default_rng(seed)
     golden = sim.run(sim.random_inputs(rng, n_words))
-    golden_out = sim.outputs_of(golden)
-    total = n_words * WORD_BITS
     if signals is None:
         signals = list(sim.signals)
-    ordered = sorted(signals, key=sim.site_level)
     result: dict[str, float] = {}
-    for start in range(0, len(ordered), batch_size):
-        batch = ordered[start:start + batch_size]
-        site_rows = np.fromiter((sim.index[s] for s in batch),
-                                dtype=np.intp, count=len(batch))
-        scratch = sim.run_forced_batch(golden, site_rows,
-                                       ~golden[site_rows])
-        diff = scratch[sim.output_indices] ^ golden_out[:, None, :]
-        any_change = np.bitwise_or.reduce(diff, axis=0)    # (B, W)
-        counts = bit_count(any_change).sum(axis=1, dtype=np.int64)
+    for batch in batched(signals, sim):
+        site_rows = _site_rows(sim, batch)
+        counts = _change_counts(sim, golden, site_rows, ~golden[site_rows])
         for name, count in zip(batch, counts):
-            result[name] = int(count) / total
+            result[name] = int(count) / (n_words * WORD_BITS)
     return result
 
 
 def error_contributions(circuit, n_words: int = 8,
-                        seed: int = 2008,
-                        batch_size: int = DEFAULT_BATCH
-                        ) -> dict[str, float]:
+                        seed: int = 2008) -> dict[str, float]:
     """Per-gate expected error contribution under the stuck-at model.
 
     For gate g with output probability p and global observability o, a
@@ -67,25 +55,29 @@ def error_contributions(circuit, n_words: int = 8,
     sim = get_simulator(circuit)
     rng = np.random.default_rng(seed)
     golden = sim.run(sim.random_inputs(rng, n_words))
-    golden_out = sim.outputs_of(golden)
-    total = n_words * WORD_BITS
-    names = sorted(sim.signals[sim.num_inputs:], key=sim.site_level)
     result: dict[str, float] = {}
     # Two lanes per signal: stuck-at-0 and stuck-at-1.
-    pair_batch = max(1, batch_size // 2)
-    all_ones = np.uint64(0xFFFFFFFFFFFFFFFF)
-    for start in range(0, len(names), pair_batch):
-        batch = names[start:start + pair_batch]
-        site_rows = np.fromiter(
-            (sim.index[s] for s in batch for _ in (0, 1)),
-            dtype=np.intp, count=2 * len(batch))
-        forced = np.zeros((2 * len(batch), n_words), dtype=np.uint64)
-        forced[1::2] = all_ones
-        scratch = sim.run_forced_batch(golden, site_rows, forced)
-        diff = scratch[sim.output_indices] ^ golden_out[:, None, :]
-        any_change = np.bitwise_or.reduce(diff, axis=0)    # (2B, W)
-        counts = bit_count(any_change).sum(axis=1, dtype=np.int64)
-        for lane, name in enumerate(batch):
-            errors = int(counts[2 * lane] + counts[2 * lane + 1])
-            result[name] = errors / (2 * total)
+    for batch in batched(sim.signals[sim.num_inputs:], sim,
+                         size=DEFAULT_BATCH // 2):
+        site_rows = np.repeat(_site_rows(sim, batch), 2)
+        forced = np.zeros((len(site_rows), n_words), dtype=np.uint64)
+        forced[1::2] = ~np.uint64(0)
+        counts = _change_counts(sim, golden, site_rows, forced)
+        for name, sa0, sa1 in zip(batch, counts[0::2], counts[1::2]):
+            result[name] = int(sa0 + sa1) / (2 * n_words * WORD_BITS)
     return result
+
+
+def _site_rows(sim, signals) -> np.ndarray:
+    return np.fromiter((sim.index[s] for s in signals), dtype=np.intp,
+                       count=len(signals))
+
+
+def _change_counts(sim, golden: np.ndarray, site_rows: np.ndarray,
+                   forced: np.ndarray) -> np.ndarray:
+    """Per lane, the vectors on which forcing a site changes some PO."""
+    scratch = sim.run_forced_batch(golden, site_rows, forced)
+    golden_out = sim.outputs_of(golden)
+    diff = scratch[sim.output_indices] ^ golden_out[:, None, :]
+    any_change = np.bitwise_or.reduce(diff, axis=0)        # (B, W)
+    return bit_count(any_change).sum(axis=1, dtype=np.int64)

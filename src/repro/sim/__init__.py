@@ -1,9 +1,9 @@
 """Bit-parallel simulation, stuck-at faults, campaigns, and power."""
 
-from .simulator import (WORD_BITS, BitSimulator, bit_count,
-                        clear_simulator_cache, exhaustive_inputs,
-                        get_simulator, popcount, signal_probabilities,
-                        simulator_cache_stats)
+from .simulator import (MAX_EXHAUSTIVE_INPUTS, WORD_BITS, BitSimulator,
+                        bit_count, clear_simulator_cache,
+                        exhaustive_inputs, get_simulator, popcount,
+                        signal_probabilities, simulator_cache_stats)
 from .faults import Fault, fault_list
 from .faultsim import (DEFAULT_BATCH, FaultSimReport, OutputErrorStats,
                        batched, run_campaign)
@@ -13,8 +13,8 @@ from .delayfaults import (TransitionFault, late_value,
 
 __all__ = [
     "BitSimulator", "DEFAULT_BATCH", "Fault", "FaultSimReport",
-    "OutputErrorStats", "WORD_BITS", "batched", "bit_count",
-    "clear_simulator_cache", "exhaustive_inputs", "fault_list",
+    "MAX_EXHAUSTIVE_INPUTS", "OutputErrorStats", "WORD_BITS", "batched",
+    "bit_count", "clear_simulator_cache", "exhaustive_inputs", "fault_list",
     "get_simulator", "popcount", "power_overhead",
     "simulator_cache_stats",
     "run_campaign", "run_transition_fault", "signal_probabilities",

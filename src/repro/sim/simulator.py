@@ -40,6 +40,9 @@ from repro.network import Network
 from repro.synth.netlist import MappedNetlist
 
 WORD_BITS = 64
+#: Largest input count :func:`exhaustive_inputs` enumerates (2^24
+#: vectors, 2 MiB per signal row).
+MAX_EXHAUSTIVE_INPUTS = 24
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
@@ -405,14 +408,6 @@ class BitSimulator:
         return np.stack(rows) if rows else np.zeros((0, golden.shape[1]),
                                                     dtype=np.uint64)
 
-    def value_of(self, golden: np.ndarray,
-                 overlay: dict[int, np.ndarray] | None,
-                 signal: str) -> np.ndarray:
-        idx = self.index[signal]
-        if overlay is not None and idx in overlay:
-            return overlay[idx]
-        return golden[idx]
-
 
 # ----------------------------------------------------------------------
 # Simulator cache
@@ -533,10 +528,12 @@ def exhaustive_inputs(num_inputs: int) -> np.ndarray:
 
     Bit ``j`` of word ``w`` in row ``i`` carries input ``i`` of pattern
     ``64*w + j``, so one :meth:`BitSimulator.run` call simulates the
-    whole truth table.  Practical up to ~20 inputs.
+    whole truth table.  Practical up to ~20 inputs; refuses more than
+    :data:`MAX_EXHAUSTIVE_INPUTS`.
     """
-    if num_inputs < 0 or num_inputs > 24:
-        raise ValueError("exhaustive simulation supports 0..24 inputs")
+    if num_inputs < 0 or num_inputs > MAX_EXHAUSTIVE_INPUTS:
+        raise ValueError("exhaustive simulation supports "
+                         f"0..{MAX_EXHAUSTIVE_INPUTS} inputs")
     n_patterns = 1 << num_inputs
     n_words = max(1, (n_patterns + WORD_BITS - 1) // WORD_BITS)
     rows = np.zeros((num_inputs, n_words), dtype=np.uint64)

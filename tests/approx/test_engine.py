@@ -9,6 +9,7 @@ from repro.approx import (ApproxConfig, ApproxEngine, ConfigError,
 from repro.approx.engine import _REGISTRY
 from repro.bench.suite import tiny_benchmark
 from repro.network import write_blif
+from repro.sim import MAX_EXHAUSTIVE_INPUTS
 
 
 class TestRegistry:
@@ -83,6 +84,9 @@ class TestErrorSpec:
          "error.exact_threshold"),
         (dict(metric="er", bound=0.1, exact_threshold=2.5),
          "error.exact_threshold"),
+        (dict(metric="er", bound=0.1,
+              exact_threshold=MAX_EXHAUSTIVE_INPUTS + 1),
+         "error.exact_threshold"),
     ])
     def test_invalid_specs_carry_the_field(self, kwargs, field):
         with pytest.raises(ConfigError) as excinfo:
@@ -91,6 +95,11 @@ class TestErrorSpec:
         doc = excinfo.value.to_dict()
         assert doc["error"] == "config"
         assert doc["field"] == field
+
+    def test_exact_threshold_reaches_the_simulator_limit(self):
+        spec = ErrorSpec(metric="er", bound=0.1,
+                         exact_threshold=MAX_EXHAUSTIVE_INPUTS)
+        assert spec.exact_threshold == MAX_EXHAUSTIVE_INPUTS
 
     def test_unknown_spec_key_rejected(self):
         with pytest.raises(ConfigError) as excinfo:

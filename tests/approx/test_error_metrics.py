@@ -15,6 +15,7 @@ from repro.approx.metrics import (evaluate_error, exhaustive_inputs)
 from repro.bench.suite import load_benchmark, tiny_benchmark
 from repro.cubes import Cover, Cube
 from repro.network import Network
+from repro.sim import exhaustive_inputs as sim_exhaustive_inputs
 
 
 from .helpers import oracle
@@ -122,6 +123,10 @@ def test_mc_structural_filter_gives_zero_for_identical_pair():
         bdd_node_budget=1)
     assert ev.method == "mc"
     assert ev.value == 0.0
+
+
+def test_exhaustive_inputs_is_the_simulator_one():
+    assert exhaustive_inputs is sim_exhaustive_inputs
 
 
 def test_exhaustive_inputs_enumerate_every_vector():

@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.approx import ApproxConfig
+from repro.approx import ApproxConfig, get_engine
 from repro.bench import load_benchmark, tiny_benchmark
 from repro.ced import run_ced_flow
-from repro.ced.flow import _synthesize_with_floor
 from repro.reliability import analyze_reliability
 from repro.synth import quick_map
 
@@ -24,28 +23,29 @@ class TestQualityFloor:
         net = tiny_benchmark(seed=71)
         directions = {po: 0 for po in net.outputs}
         config = ApproxConfig()
-        result, pct = _synthesize_with_floor(net, directions, config,
-                                             min_approx_pct=0.0)
+        result, pct = get_engine(config.engine).synthesize_with_floor(
+            net, directions, config, min_approx_pct=0.0)
         assert set(pct) == set(directions)
 
     def test_ladder_returns_best_attempt(self):
         net = tiny_benchmark(seed=73)
         directions = {po: 0 for po in net.outputs}
         # Absurd floor: unreachable, so the best attempt is returned.
-        result, pct = _synthesize_with_floor(net, directions,
-                                             ApproxConfig(),
-                                             min_approx_pct=101.0)
+        config = ApproxConfig()
+        result, pct = get_engine(config.engine).synthesize_with_floor(
+            net, directions, config, min_approx_pct=101.0)
         assert result is not None
         assert all(0.0 <= v <= 100.0 for v in pct.values())
 
     def test_gentler_configs_keep_more(self):
         net = tiny_benchmark(seed=73)
         directions = {po: 0 for po in net.outputs}
-        aggressive, pct_a = _synthesize_with_floor(
+        engine = get_engine(ApproxConfig().engine)
+        aggressive, pct_a = engine.synthesize_with_floor(
             net, directions,
             ApproxConfig(dc_threshold=0.6, cube_drop_threshold=0.4),
             min_approx_pct=0.0)
-        gentle, pct_g = _synthesize_with_floor(
+        gentle, pct_g = engine.synthesize_with_floor(
             net, directions,
             ApproxConfig(dc_threshold=0.05, cube_drop_threshold=0.01),
             min_approx_pct=0.0)

@@ -70,6 +70,16 @@ class TestJsonSubmissions:
                            "confidence": 0.9}}))
         assert excinfo.value.status == 400
 
+    def test_exact_threshold_above_limit_is_400(self, service):
+        with pytest.raises(HttpError) as excinfo:
+            service._parse_submission(json_request(
+                {"blif": BLIF, "engine": "resub",
+                 "error": {"metric": "er", "bound": 0.05,
+                           "exact_threshold": 40}}))
+        assert excinfo.value.status == 400
+        assert excinfo.value.detail.get("field") == \
+            "error.exact_threshold"
+
     def test_bad_config_object_is_400_not_failed_job(self, service):
         with pytest.raises(HttpError) as excinfo:
             service._parse_submission(json_request(
@@ -101,3 +111,12 @@ class TestQuerySubmissions:
                 {"engine": "resub", "error_metric": "er",
                  "error_bound": "lots"}))
         assert excinfo.value.status == 400
+
+    def test_raw_blif_exact_threshold_above_limit_is_400(self, service):
+        with pytest.raises(HttpError) as excinfo:
+            service._parse_submission(query_request(
+                {"engine": "resub", "error_metric": "er",
+                 "error_bound": "0.05", "error_exact_threshold": "40"}))
+        assert excinfo.value.status == 400
+        assert excinfo.value.detail.get("field") == \
+            "error.exact_threshold"

@@ -61,12 +61,6 @@ class TestCampaign:
         report = run_campaign(and_network(), n_words=16, seed=1)
         assert 0.0 < report.error_rate < 1.0
 
-    def test_per_fault_tracking(self):
-        report = run_campaign(and_network(), n_words=16, seed=1,
-                              track_per_fault=True)
-        assert set(report.per_fault_errors) == set(fault_list(and_network()))
-        assert all(v >= 0 for v in report.per_fault_errors.values())
-
     def test_restricted_faults(self):
         mapped = technology_map(and_network(), LIB_GENERIC)
         site = next(iter(mapped.gates))

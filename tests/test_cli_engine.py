@@ -96,6 +96,15 @@ class TestConfigErrors:
                          "error.metric", capsys)
         assert "mse" in doc["message"]
 
+    def test_exact_threshold_above_limit_exits_2(self, blif_path,
+                                                 capsys):
+        doc = self.check(["ced", "--blif", str(blif_path),
+                          "--engine", "resub",
+                          "--error-metric", "er", "--error-bound", "0.1",
+                          "--error-exact-threshold", "40"],
+                         "error.exact_threshold", capsys)
+        assert doc["value"] == "40"
+
     def test_synth_shares_the_flags(self, blif_path, tmp_path, capsys):
         self.check(["synth", "--blif", str(blif_path),
                     "--out", str(tmp_path / "o.blif"),
