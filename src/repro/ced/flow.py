@@ -452,52 +452,58 @@ def run_ced_flow(network: Network,
         # before any pass runs.
         budget.check_deadline("flow entry")
         analysis.guard = budget
-    store, token = _checkpoint_setup(network, checkpoint_dir, params)
-    passes = ced_flow_passes(config, script, share_logic,
-                             share_loss_budget, reliability_words,
-                             coverage_words, power_words, seed,
-                             directions, min_approx_pct)
-    flow_ctx = FlowContext(network, params=params, analysis=analysis,
-                           budget=budget)
     try:
-        PassManager(passes, store=store, token=token,
-                    on_record=on_pass).run(flow_ctx)
-    finally:
-        # Lint (and any later consumer of the shared context) re-proves
-        # from scratch; an expired deadline must not abort it.
-        analysis.guard = None
+        store, token = _checkpoint_setup(network, checkpoint_dir, params)
+        passes = ced_flow_passes(config, script, share_logic,
+                                 share_loss_budget, reliability_words,
+                                 coverage_words, power_words, seed,
+                                 directions, min_approx_pct)
+        flow_ctx = FlowContext(network, params=params, analysis=analysis,
+                               budget=budget)
+        try:
+            PassManager(passes, store=store, token=token,
+                        on_record=on_pass).run(flow_ctx)
+        finally:
+            # Lint (and any later consumer of the shared context) re-proves
+            # from scratch; an expired deadline must not abort it.
+            analysis.guard = None
 
-    result = CedFlowResult(
-        original=network,
-        original_mapped=flow_ctx["original_mapped"],
-        approx_result=flow_ctx["approx_result"],
-        approx_mapped=flow_ctx["approx_mapped"],
-        assembly=flow_ctx["assembly"],
-        reliability=flow_ctx["reliability"],
-        coverage=flow_ctx["coverage"],
-        approximation_pct=flow_ctx["approximation_pct"],
-        metrics=flow_ctx["metrics"],
-        trace=flow_ctx.trace)
-    if budget is not None:
-        report = budget.report.to_dict()
-        flow_ctx.trace.budget = report
-        result.budget_report = report
-    if lint_level != "off":
-        # Imported lazily: repro.lint imports the approx layer.  Lint
-        # runs outside the manager (it consumes the assembled result)
-        # but is traced like any pass, reusing the shared pair BDDs.
-        from repro.lint import LintError, lint_flow
-        record = PassRecord(name="lint")
-        before = analysis.snapshot()
-        start = time.perf_counter()
-        result.lint = lint_flow(result, certificate_dir=certificate_dir,
-                                ctx=analysis)
-        record.wall_time_s = time.perf_counter() - start
-        record.cache = AnalysisContext.delta(before, analysis.snapshot())
-        record.stats["diagnostics"] = len(result.lint.diagnostics)
-        flow_ctx.trace.add(record)
-        if on_pass is not None:
-            on_pass(record)
-        if lint_level == "strict" and not result.lint.ok:
-            raise LintError(result.lint)
-    return result
+        result = CedFlowResult(
+            original=network,
+            original_mapped=flow_ctx["original_mapped"],
+            approx_result=flow_ctx["approx_result"],
+            approx_mapped=flow_ctx["approx_mapped"],
+            assembly=flow_ctx["assembly"],
+            reliability=flow_ctx["reliability"],
+            coverage=flow_ctx["coverage"],
+            approximation_pct=flow_ctx["approximation_pct"],
+            metrics=flow_ctx["metrics"],
+            trace=flow_ctx.trace)
+        if budget is not None:
+            report = budget.report.to_dict()
+            flow_ctx.trace.budget = report
+            result.budget_report = report
+        if lint_level != "off":
+            # Imported lazily: repro.lint imports the approx layer.  Lint
+            # runs outside the manager (it consumes the assembled result)
+            # but is traced like any pass, reusing the shared pair BDDs.
+            from repro.lint import LintError, lint_flow
+            record = PassRecord(name="lint")
+            before = analysis.snapshot()
+            start = time.perf_counter()
+            result.lint = lint_flow(result, certificate_dir=certificate_dir,
+                                    ctx=analysis)
+            record.wall_time_s = time.perf_counter() - start
+            record.cache = AnalysisContext.delta(before, analysis.snapshot())
+            record.stats["diagnostics"] = len(result.lint.diagnostics)
+            flow_ctx.trace.add(record)
+            if on_pass is not None:
+                on_pass(record)
+            if lint_level == "strict" and not result.lint.ok:
+                raise LintError(result.lint)
+        return result
+    finally:
+        # Nothing can hit this flow's identity-keyed state again (every
+        # caller that reuses a context parses a fresh network), so a
+        # context kept across flows must not pin it.
+        analysis.release()

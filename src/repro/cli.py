@@ -46,12 +46,13 @@ from repro.bench import load_benchmark
 from repro.ced import run_ced_flow
 from repro.guard import Budget, BudgetExceeded
 from repro.lab.backends import BACKEND_ENV, BACKENDS
-from repro.network import read_blif, write_blif
+from repro.network import BlifError, read_blif, write_blif
 from repro.reliability import analyze_reliability
 from repro.synth import quick_map
 
-#: Exit status of a rejected configuration (unknown engine, malformed
-#: error spec, ...); the ConfigError document is printed as JSON.
+#: Exit status of rejected input: a configuration (unknown engine,
+#: malformed error spec, ...) or a malformed BLIF file; the error
+#: document is printed to stderr as JSON.
 EXIT_CONFIG_ERROR = 2
 
 #: Exit status of a run that exceeded its resource budget in a way the
@@ -878,9 +879,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(json.dumps(exc.to_dict(), indent=2, sort_keys=True),
-              file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        doc = exc.to_dict()
+    except BlifError as exc:
+        doc = {"error": "blif", "message": str(exc)}
+    print(json.dumps(doc, indent=2, sort_keys=True), file=sys.stderr)
+    return EXIT_CONFIG_ERROR
 
 
 if __name__ == "__main__":

@@ -18,6 +18,12 @@ a shared manager hitting its node budget where a fresh build would not,
 because it still holds garbage from earlier stages — is handled by
 retrying exactly once with a from-scratch build before letting
 :class:`~repro.bdd.BddOverflowError` escape.
+
+What a context keeps across flows: only its content-keyed memos
+(probabilities, switching activity), its hit/miss counters and its
+attached proof cache.  ``run_ced_flow`` calls :meth:`release` when it
+ends, dropping the pair BDDs, dataflow bundles and digest memos, which
+are keyed on the identity of networks no later flow will see.
 """
 
 from __future__ import annotations
@@ -149,6 +155,22 @@ class AnalysisContext:
             if changed:
                 moved[kind] = changed
         return moved
+
+    def release(self) -> None:
+        """Drop the state keyed on live objects of the flow just run.
+
+        The pair-BDD manager, the overflow verdicts, the dataflow
+        bundles and the digest memo all match on object identity, so
+        once a flow's networks are gone nothing can hit them; dropping
+        them lets the networks (and the simulator tapes cached for
+        them) be freed.  The content-keyed memos and ``proofs`` stay:
+        an equal circuit parsed again still hits those.
+        """
+        self._pair = None
+        self._o_entry = None
+        self._o_fail = None
+        self._analyses.clear()
+        self._tokens.clear()
 
     def bdd_nodes(self) -> int | None:
         """Node count of the live pair-BDD manager, if any."""

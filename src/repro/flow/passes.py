@@ -18,6 +18,7 @@ the lab's content-addressed :class:`~repro.lab.cache.ArtifactStore`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import time
@@ -89,8 +90,18 @@ class FlowContext:
 
 
 def pass_fingerprint(pass_obj: Pass) -> str:
-    """Digest of a pass implementation's identity and source."""
-    cls = type(pass_obj)
+    """Digest of a pass implementation's identity and source.
+
+    Computed once per pass class per process: a loaded class's code
+    cannot change, so warm flows skip ``inspect.getsource`` (which
+    dominated fully resumed runs) and always hash the code that runs,
+    not a source file edited on disk since.
+    """
+    return _class_fingerprint(type(pass_obj))
+
+
+@functools.lru_cache(maxsize=None)
+def _class_fingerprint(cls: type) -> str:
     ident = f"{cls.__module__}.{cls.__qualname__}"
     try:
         source = inspect.getsource(cls)

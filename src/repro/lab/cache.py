@@ -28,6 +28,7 @@ hit/miss/eviction counters.  Two codecs sit on the core:
 from __future__ import annotations
 
 import fcntl
+import functools
 import hashlib
 import inspect
 import json
@@ -72,13 +73,15 @@ def atomic_write(path: Path, blob: bytes) -> None:
         raise
 
 
+@functools.lru_cache(maxsize=None)
 def code_fingerprint(fn: Callable[..., Any]) -> str:
     """A short digest of the task function's identity and source.
 
     Editing the task function invalidates its cached artifacts.  The
     fingerprint intentionally does not chase transitive callees; bump
     :data:`CACHE_SCHEMA` (or clear ``.lab_cache/``) after changing the
-    algorithms underneath the tasks.
+    algorithms underneath the tasks.  It is computed once per function
+    object per process, from the code that is loaded.
     """
     ident = (f"{getattr(fn, '__module__', '?')}."
              f"{getattr(fn, '__qualname__', repr(fn))}")

@@ -115,6 +115,9 @@ def parse_blif(text: str, source: str | None = None) -> Network:
                 fail(lineno, f"SOP row value must be 0 or 1: {line!r}")
             current.rows.append((lineno, pattern, value))
 
+    if not declared_outputs:
+        # Nothing to check: the flow would fail far from the input.
+        raise BlifError(f"{where}: no primary outputs declared")
     _insert_nodes(network, pending, fail)
     for lineno, name in declared_outputs:
         if not network.signal_exists(name):

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .jobs import JobRegistry, ServeJob
-from .pool import BACKENDS, DEFAULT_CTX_LIMIT, WorkerPool
+from .pool import BACKENDS, WorkerPool
 from .protocol import (HttpError, HttpRequest, end_chunked,
                        error_response, json_response, read_request,
                        start_chunked, write_chunk)
@@ -84,7 +84,6 @@ class ServeConfig:
     budget_bdd_nodes: int | None = None
     budget_sat_conflicts: int | None = None
     budget_repair_rounds: int | None = None
-    ctx_limit: int = DEFAULT_CTX_LIMIT
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
@@ -110,8 +109,7 @@ class CedService:
         self.pool = WorkerPool(
             self.config.workers, self.config.state_dir,
             on_event=self._event_from_worker,
-            backend=self.config.backend,
-            ctx_limit=self.config.ctx_limit)
+            backend=self.config.backend)
         self.counters = {
             "submitted": 0, "accepted": 0, "completed": 0,
             "failed": 0, "cancelled": 0,

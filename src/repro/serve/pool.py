@@ -1,19 +1,18 @@
 """Sharded warm workers: persistent processes running CED flows.
 
 Each shard is one long-lived worker (a spawned process by default, a
-thread in ``inline`` mode for tests and semaphore-less sandboxes) that
-keeps *warm state* across requests:
-
-* an LRU of :class:`~repro.flow.AnalysisContext` objects keyed by the
-  submitted circuit's content digest (pair BDDs, probabilities,
-  switching activity survive between submissions of the same circuit);
-* a process-wide checkpoint :class:`~repro.lab.cache.ArtifactStore` and
-  the cross-process proof cache (:mod:`repro.lab.proofs`) on disk, both
-  shared by every shard through atomic content-addressed writes.
+thread with the ``thread`` backend for tests and semaphore-less
+sandboxes).  Its *warm state* is on disk: a checkpoint
+:class:`~repro.lab.cache.ArtifactStore` and the cross-process proof
+cache (:mod:`repro.lab.proofs`), both shared by every shard through
+atomic content-addressed writes.  In memory a worker keeps nothing
+between requests but the loaded code: each request runs on a fresh
+:class:`~repro.flow.AnalysisContext`, so a worker's footprint is one
+flow's, however many circuits it has served.
 
 Requests are routed to shards by circuit content digest, so repeated
-submissions of one circuit always land on the worker already warm for
-it.  Workers stream progress back over a single event queue: a
+submissions of one circuit keep their store traffic on one worker.
+Workers stream progress back over a single event queue: a
 ``started`` event on dispatch, one ``pass`` event per completed flow
 pass (fed by ``run_ced_flow``'s ``on_pass`` hook), and a terminal
 ``done``/``failed`` event carrying the full
@@ -31,16 +30,12 @@ import queue as queue_mod
 import threading
 import time
 import traceback
-from collections import OrderedDict
 from pathlib import Path
 
 __all__ = ["WorkerPool", "WorkerState", "shard_of", "run_flow_request",
            "BACKENDS"]
 
 BACKENDS = ("process", "thread")
-
-#: Number of warm AnalysisContexts one worker keeps (LRU beyond this).
-DEFAULT_CTX_LIMIT = 8
 
 
 def shard_of(blif: str, shards: int) -> int:
@@ -50,31 +45,14 @@ def shard_of(blif: str, shards: int) -> int:
 
 
 class WorkerState:
-    """One worker's warm caches (lives inside the worker)."""
+    """One worker's store locations and job count (lives inside it)."""
 
-    def __init__(self, shard: int, state_dir: str,
-                 ctx_limit: int = DEFAULT_CTX_LIMIT):
+    def __init__(self, shard: int, state_dir: str):
         self.shard = shard
         self.state_dir = Path(state_dir)
         self.checkpoint_dir = self.state_dir / "checkpoints"
         self.proof_dir = self.state_dir / "proofs"
-        self.ctx_limit = max(int(ctx_limit), 1)
-        self._ctxs: OrderedDict[str, object] = OrderedDict()
         self.jobs_run = 0
-
-    def context_for(self, blif: str):
-        """The warm AnalysisContext of this circuit content (LRU)."""
-        from repro.flow import AnalysisContext
-        key = hashlib.sha256(blif.encode()).hexdigest()
-        ctx = self._ctxs.get(key)
-        if ctx is not None:
-            self._ctxs.move_to_end(key)
-            return ctx
-        ctx = AnalysisContext()
-        self._ctxs[key] = ctx
-        while len(self._ctxs) > self.ctx_limit:
-            self._ctxs.popitem(last=False)
-        return ctx
 
 
 def _pass_event(job_id: str, record) -> dict:
@@ -112,7 +90,6 @@ def run_flow_request(req: dict, state: WorkerState, emit) -> None:
         directions = params.get("directions")
         if directions is not None:
             directions = {po: int(d) for po, d in directions.items()}
-        ctx = state.context_for(req["blif"])
         start = time.perf_counter()
         try:
             flow = run_ced_flow(
@@ -123,7 +100,6 @@ def run_flow_request(req: dict, state: WorkerState, emit) -> None:
                 min_approx_pct=float(params.get("min_approx_pct",
                                                 25.0)),
                 lint_level=params.get("lint_level", "off"),
-                ctx=ctx,
                 checkpoint_dir=str(state.checkpoint_dir),
                 proof_cache_dir=str(state.proof_dir),
                 budget=budget,
@@ -156,10 +132,9 @@ def run_flow_request(req: dict, state: WorkerState, emit) -> None:
               "traceback": traceback.format_exc(limit=8)[-2000:]})
 
 
-def _worker_main(shard: int, request_q, event_q, state_dir: str,
-                 ctx_limit: int) -> None:
+def _worker_main(shard: int, request_q, event_q, state_dir: str) -> None:
     """Worker loop (process or thread): requests in, events out."""
-    state = WorkerState(shard, state_dir, ctx_limit)
+    state = WorkerState(shard, state_dir)
     while True:
         req = request_q.get()
         if req is None:               # drain sentinel
@@ -173,11 +148,10 @@ class _Shard:
     """Parent-side handle of one worker (process or thread)."""
 
     def __init__(self, index: int, backend: str, state_dir: str,
-                 ctx_limit: int, event_q, mp_ctx=None):
+                 event_q, mp_ctx=None):
         self.index = index
         self.backend = backend
         self.state_dir = state_dir
-        self.ctx_limit = ctx_limit
         self.event_q = event_q
         self.mp_ctx = mp_ctx
         self.request_q = None
@@ -187,7 +161,7 @@ class _Shard:
 
     def _spawn(self) -> None:
         args_of = lambda q: (self.index, q, self.event_q,  # noqa: E731
-                             self.state_dir, self.ctx_limit)
+                             self.state_dir)
         if self.backend == "process":
             self.request_q = self.mp_ctx.Queue()
             self.runner = self.mp_ctx.Process(
@@ -238,15 +212,13 @@ class WorkerPool:
     """
 
     def __init__(self, workers: int, state_dir: str | Path,
-                 on_event, backend: str = "process",
-                 ctx_limit: int = DEFAULT_CTX_LIMIT):
+                 on_event, backend: str = "process"):
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}")
         self.workers = max(int(workers), 1)
         self.state_dir = str(state_dir)
         self.on_event = on_event
         self.backend = backend
-        self.ctx_limit = ctx_limit
         self.shards: list[_Shard] = []
         self.event_q = None
         self._drainer: threading.Thread | None = None
@@ -261,8 +233,8 @@ class WorkerPool:
                 mp_ctx = multiprocessing.get_context("spawn")
                 self.event_q = mp_ctx.Queue()
                 self.shards = [
-                    _Shard(i, "process", self.state_dir,
-                           self.ctx_limit, self.event_q, mp_ctx)
+                    _Shard(i, "process", self.state_dir, self.event_q,
+                           mp_ctx)
                     for i in range(self.workers)]
             except (ImportError, OSError, PermissionError):
                 # No multiprocessing primitives here (common in
@@ -272,8 +244,7 @@ class WorkerPool:
         if self.backend == "thread":
             self.event_q = queue_mod.Queue()
             self.shards = [
-                _Shard(i, "thread", self.state_dir, self.ctx_limit,
-                       self.event_q)
+                _Shard(i, "thread", self.state_dir, self.event_q)
                 for i in range(self.workers)]
         self._drainer = threading.Thread(target=self._drain,
                                          name="serve-event-drain",

@@ -71,7 +71,9 @@ class BitSimulator:
     """A compiled, index-based simulator for one circuit."""
 
     def __init__(self, circuit: Network | MappedNetlist):
-        self.circuit = circuit
+        # No reference to ``circuit`` is kept: the simulator cache is
+        # weakly keyed on it, and a value pinning its key would never
+        # be dropped.
         if isinstance(circuit, MappedNetlist):
             inputs = circuit.inputs
             order = circuit.topological_order()

@@ -77,6 +77,13 @@ class TestParse:
         with pytest.raises(BlifError):
             parse_blif(text)
 
+    @pytest.mark.parametrize("outputs", [".outputs\n", ""])
+    def test_network_without_outputs_rejected(self, outputs):
+        text = (".model m\n.inputs a b\n" + outputs +
+                ".names a b y\n11 1\n.end\n")
+        with pytest.raises(BlifError, match="no primary outputs"):
+            parse_blif(text, source="empty.blif")
+
 
 class TestRoundtrip:
     def test_write_then_parse_preserves_function(self):

@@ -8,7 +8,10 @@ wire format is exercised.
 """
 
 import asyncio
+import gc
 import threading
+import time
+import weakref
 
 import pytest
 
@@ -116,6 +119,38 @@ class TestSubmitAndResult:
             client.submit("this is not a circuit")
         assert err.value.status == 400
         assert "blif" in err.value.doc["message"].lower()
+
+    def test_blif_without_outputs_is_400(self, service):
+        _, client = service
+        with pytest.raises(ServeError) as err:
+            client.submit(".model m\n.inputs a b\n.outputs\n"
+                          ".names a b y\n11 1\n.end\n")
+        assert err.value.status == 400
+        assert "no primary outputs" in err.value.doc["message"]
+
+    def test_worker_keeps_no_network_after_a_job(self, service,
+                                                 monkeypatch):
+        import repro.network as network_mod
+        parsed = []
+        real = network_mod.parse_blif
+
+        def recording(*args, **kwargs):
+            net = real(*args, **kwargs)
+            parsed.append(weakref.ref(net))
+            return net
+
+        monkeypatch.setattr(network_mod, "parse_blif", recording)
+        _, client = service
+        doc = client.run(TINY, words=1)
+        assert doc["state"] == "done"
+        assert parsed
+        # The done event goes out just before the worker's frame ends.
+        deadline = time.monotonic() + 10.0
+        while any(ref() is not None for ref in parsed) and \
+                time.monotonic() < deadline:
+            gc.collect()
+            time.sleep(0.05)
+        assert all(ref() is None for ref in parsed)
 
     def test_raw_blif_body_with_query_params(self, service):
         _, client = service

@@ -6,6 +6,9 @@ loop's cover replacement does) served a stale compiled tape.  These
 tests pin the fixed behavior: any structural mutation recompiles.
 """
 
+import gc
+import weakref
+
 import numpy as np
 
 from repro.cubes import Cover, Cube
@@ -76,3 +79,15 @@ def test_mapped_netlist_mutation_recompiles():
     sim2 = get_simulator(netlist)
     assert sim2 is not sim1
     assert "g_x" in sim2.index
+
+
+def test_cache_does_not_keep_its_circuits_alive():
+    # The cache is weakly keyed; a compiled simulator that pinned its
+    # circuit would keep every circuit a long-lived process simulated.
+    net = _net()
+    sim = get_simulator(net)
+    ref = weakref.ref(net)
+    del net
+    gc.collect()
+    assert ref() is None
+    assert sim.output_names == ["f"]

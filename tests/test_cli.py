@@ -512,3 +512,23 @@ class TestSweepConfigErrors:
         doc = json.loads(capsys.readouterr().err)
         assert doc["error"] == "config"
         assert doc["field"] == "backend"
+
+
+class TestBadBlif:
+    """A malformed --blif exits 2 with a JSON document on stderr, not a
+    traceback from deep inside the flow."""
+
+    @pytest.mark.parametrize("text, needle", [
+        (".model m\n.inputs a b\n.outputs\n.names a b y\n11 1\n.end\n",
+         "no primary outputs"),
+        (".model m\n.inputs a\n.outputs y\n.names a q y\n11 1\n.end\n",
+         "fanin 'q' is never defined"),
+    ])
+    def test_ced_exits_2_with_json(self, tmp_path, capsys, text, needle):
+        path = tmp_path / "bad.blif"
+        path.write_text(text)
+        assert main(["ced", "--blif", str(path), "--words", "1"]) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "blif"
+        assert needle in doc["message"]
+        assert str(path) in doc["message"]
