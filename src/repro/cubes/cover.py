@@ -31,6 +31,15 @@ class Cover:
                 raise ValueError("cube variable count mismatch")
             self.cubes.append(cube)
 
+    @classmethod
+    def _trusted(cls, n: int, cubes: list[Cube]) -> "Cover":
+        """A cover adopting ``cubes``, already known to be over ``n``
+        variables."""
+        cover = cls.__new__(cls)
+        cover.n = n
+        cover.cubes = cubes
+        return cover
+
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------

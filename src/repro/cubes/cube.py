@@ -16,6 +16,7 @@ supporting arbitrary variable counts.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator
 
 
@@ -33,9 +34,9 @@ class Cube:
         if ones & zeros:
             raise ValueError("cube has contradictory literals (empty cube); "
                              "represent the empty function as an empty cover")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ones", ones)
-        object.__setattr__(self, "zeros", zeros)
+        _set_n(self, n)
+        _set_ones(self, ones)
+        _set_zeros(self, zeros)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cube is immutable")
@@ -54,17 +55,20 @@ class Cube:
         return cls(n)
 
     @classmethod
+    def _trusted(cls, n: int, ones: int, zeros: int) -> "Cube":
+        """A cube from masks already known to be valid (skips checks)."""
+        cube = object.__new__(cls)
+        _set_n(cube, n)
+        _set_ones(cube, ones)
+        _set_zeros(cube, zeros)
+        return cube
+
+    @classmethod
     def from_string(cls, text: str) -> "Cube":
         """Parse positional notation, e.g. ``"1-0"`` = x0 & !x2."""
-        ones = zeros = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                ones |= 1 << i
-            elif ch == "0":
-                zeros |= 1 << i
-            elif ch != "-":
-                raise ValueError(f"invalid cube character {ch!r}")
-        return cls(len(text), ones, zeros)
+        if len(text) > _MEMO_WIDTH:
+            return _parse_positional.__wrapped__(text)
+        return _parse_positional(text)
 
     @classmethod
     def from_minterm(cls, n: int, minterm: int) -> "Cube":
@@ -75,16 +79,9 @@ class Cube:
         return cls(n, minterm, mask & ~minterm)
 
     def to_string(self) -> str:
-        chars = []
-        for i in range(self.n):
-            bit = 1 << i
-            if self.ones & bit:
-                chars.append("1")
-            elif self.zeros & bit:
-                chars.append("0")
-            else:
-                chars.append("-")
-        return "".join(chars)
+        if self.n > _MEMO_WIDTH:
+            return _positional.__wrapped__(self.n, self.ones, self.zeros)
+        return _positional(self.n, self.ones, self.zeros)
 
     # ------------------------------------------------------------------
     # Literal access
@@ -228,3 +225,45 @@ class Cube:
 
     def __repr__(self) -> str:
         return f"Cube({self.to_string()!r})"
+
+
+# The slot descriptors' setters get past the immutability guard, and
+# are faster than ``object.__setattr__``.
+_set_n = Cube.n.__set__
+_set_ones = Cube.ones.__set__
+_set_zeros = Cube.zeros.__set__
+
+_ONES = str.maketrans("10-", "100")
+_ZEROS = str.maketrans("01-", "100")
+
+
+# Netlists repeat a few hundred row patterns; both directions are
+# memoized (cubes are immutable, so a parsed one can be shared).  Wider
+# cubes bypass the memos, which keeps them a few hundred KB at most.
+_MEMO_WIDTH = 64
+
+
+@functools.lru_cache(maxsize=4096)
+def _parse_positional(text: str) -> Cube:
+    if text.strip("01-"):
+        bad = next(ch for ch in text if ch not in "01-")
+        raise ValueError(f"invalid cube character {bad!r}")
+    if not text:
+        return Cube._trusted(0, 0, 0)
+    bits = text[::-1]
+    return Cube._trusted(len(text), int(bits.translate(_ONES), 2),
+                         int(bits.translate(_ZEROS), 2))
+
+
+@functools.lru_cache(maxsize=4096)
+def _positional(n: int, ones: int, zeros: int) -> str:
+    chars = []
+    for i in range(n):
+        bit = 1 << i
+        if ones & bit:
+            chars.append("1")
+        elif zeros & bit:
+            chars.append("0")
+        else:
+            chars.append("-")
+    return "".join(chars)

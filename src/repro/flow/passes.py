@@ -12,8 +12,9 @@ The checkpoint key of pass *i* hashes the flow token (circuit content +
 canonical parameters), the pass name, a fingerprint of the pass class's
 source, and the key of pass *i-1* — a Merkle-style chain, so editing an
 upstream pass (or its inputs) invalidates every downstream checkpoint.
-Any object with ``has``/``get``/``put`` works as a store; sweeps pass
-the lab's content-addressed :class:`~repro.lab.cache.ArtifactStore`.
+Any object with ``get(key, default)`` (``default`` on a miss) and
+``put(key, value, meta=...)`` works as a store; sweeps pass the lab's
+content-addressed :class:`~repro.lab.cache.ArtifactStore`.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ class PassManager:
     def __init__(self, passes, store=None, token: str | None = None,
                  on_record=None):
         self.passes = list(passes)
-        #: Checkpoint store (``has``/``get``/``put``), or None.
+        #: Checkpoint store (``get``/``put``), or None.
         self.store = store if token is not None else None
         #: Content token of the flow's inputs; chains into every key.
         self.token = token
@@ -188,8 +189,6 @@ class PassManager:
 
     def _load_checkpoint(self, pass_obj: Pass, key: str):
         if self.store is None or not pass_obj.resumable:
-            return _MISS
-        if not self.store.has(key):
             return _MISS
         outputs = self.store.get(key, _MISS)
         if not isinstance(outputs, dict) or \

@@ -15,12 +15,12 @@ dependency order after the whole file is read.
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 
 from repro.cubes import Cover, Cube
 
 from .network import Network, NetworkError
+from .node import Node
 
 
 class BlifError(NetworkError):
@@ -30,26 +30,34 @@ class BlifError(NetworkError):
 class _Names:
     """One pending ``.names`` block: output, fanins, SOP rows."""
 
-    __slots__ = ("lineno", "output", "fanins", "rows")
+    __slots__ = ("lineno", "output", "fanins", "row_line", "patterns",
+                 "values")
 
     def __init__(self, lineno: int, output: str, fanins: list[str]):
         self.lineno = lineno
         self.output = output
         self.fanins = fanins
-        self.rows: list[tuple[int, str, str]] = []  # (lineno, pattern, value)
+        self.row_line = 0              # line of the first SOP row
+        self.patterns: list[str] = []
+        self.values: list[str] = []
 
 
 def parse_blif(text: str, source: str | None = None) -> Network:
     """Parse BLIF text into a :class:`Network`.
 
-    ``source`` names the input (file path) in error messages.
+    ``source`` names the input (file path) in error messages.  Parsing
+    is linear in the text: membership tests use sets, row patterns are
+    checked with ``str.strip`` and converted by :meth:`Cube.from_string`,
+    and the validated network is assembled in one step rather than
+    through per-node mutators.
     """
     where = source or "<blif>"
 
     def fail(lineno: int, message: str) -> "NoReturn":  # noqa: F821
         raise BlifError(f"{where}, line {lineno}: {message}")
 
-    network = Network()
+    name = "top"
+    inputs: list[str] = []
     declared_outputs: list[tuple[int, str]] = []
     pending: list[_Names] = []
     by_name: dict[str, _Names] = {}
@@ -59,17 +67,32 @@ def parse_blif(text: str, source: str | None = None) -> Network:
     for lineno, line in _logical_lines(text):
         tokens = line.split()
         keyword = tokens[0]
-        if keyword == ".model":
-            network.name = tokens[1] if len(tokens) > 1 else "top"
-        elif keyword == ".inputs":
-            for name in tokens[1:]:
-                if name in input_lines:
-                    fail(lineno, f"primary input {name!r} already "
-                                 f"declared at line {input_lines[name]}")
-                network.add_input(name)
-                input_lines[name] = lineno
-        elif keyword == ".outputs":
-            declared_outputs.extend((lineno, name) for name in tokens[1:])
+        if keyword[0] != ".":
+            if current is None:
+                fail(lineno, f"SOP row outside a .names block: {line!r}")
+            if current.fanins:
+                if len(tokens) != 2:
+                    fail(lineno, f"malformed SOP row: {line!r}")
+                pattern, value = tokens
+                if len(pattern) != len(current.fanins):
+                    fail(lineno,
+                         f"row width {len(pattern)} != fanin count "
+                         f"{len(current.fanins)} for node "
+                         f"{current.output!r}")
+            else:
+                if len(tokens) != 1:
+                    fail(lineno, f"malformed constant row: {line!r}")
+                pattern, value = "", tokens[0]
+            if pattern.strip("01-"):
+                bad = set(pattern) - {"0", "1", "-"}
+                fail(lineno, f"invalid SOP row character "
+                             f"{sorted(bad)[0]!r} in {line!r}")
+            if value != "1" and value != "0":
+                fail(lineno, f"SOP row value must be 0 or 1: {line!r}")
+            if not current.values:
+                current.row_line = lineno
+            current.patterns.append(pattern)
+            current.values.append(value)
         elif keyword == ".names":
             if len(tokens) < 2:
                 fail(lineno, ".names needs at least an output signal")
@@ -87,99 +110,98 @@ def parse_blif(text: str, source: str | None = None) -> Network:
             current = _Names(lineno, output, fanins)
             pending.append(current)
             by_name[output] = current
+        elif keyword == ".model":
+            name = tokens[1] if len(tokens) > 1 else "top"
+        elif keyword == ".inputs":
+            for pi in tokens[1:]:
+                if pi in input_lines:
+                    fail(lineno, f"primary input {pi!r} already "
+                                 f"declared at line {input_lines[pi]}")
+                inputs.append(pi)
+                input_lines[pi] = lineno
+        elif keyword == ".outputs":
+            declared_outputs.extend((lineno, po) for po in tokens[1:])
         elif keyword == ".end":
             break
-        elif keyword.startswith("."):
-            fail(lineno, f"unsupported BLIF construct {keyword!r}")
         else:
-            if current is None:
-                fail(lineno, f"SOP row outside a .names block: {line!r}")
-            if current.fanins:
-                if len(tokens) != 2:
-                    fail(lineno, f"malformed SOP row: {line!r}")
-                pattern, value = tokens
-                if len(pattern) != len(current.fanins):
-                    fail(lineno,
-                         f"row width {len(pattern)} != fanin count "
-                         f"{len(current.fanins)} for node "
-                         f"{current.output!r}")
-            else:
-                if len(tokens) != 1:
-                    fail(lineno, f"malformed constant row: {line!r}")
-                pattern, value = "", tokens[0]
-            bad = set(pattern) - {"0", "1", "-"}
-            if bad:
-                fail(lineno, f"invalid SOP row character "
-                             f"{sorted(bad)[0]!r} in {line!r}")
-            if value not in ("0", "1"):
-                fail(lineno, f"SOP row value must be 0 or 1: {line!r}")
-            current.rows.append((lineno, pattern, value))
+            fail(lineno, f"unsupported BLIF construct {keyword!r}")
 
     if not declared_outputs:
         # Nothing to check: the flow would fail far from the input.
         raise BlifError(f"{where}: no primary outputs declared")
-    _insert_nodes(network, pending, fail)
-    for lineno, name in declared_outputs:
-        if not network.signal_exists(name):
-            fail(lineno, f"declared output {name!r} never defined")
-        network.add_output(name)
-    return network
+    nodes = _sort_nodes(input_lines, pending, fail)
+    outputs = []
+    for lineno, po in declared_outputs:
+        if po not in nodes and po not in input_lines:
+            fail(lineno, f"declared output {po!r} never defined")
+        outputs.append(po)
+    # One global change: caches see a new network, as after add_* calls.
+    return Network._assemble(name, inputs, outputs, nodes, version=1)
 
 
-def _insert_nodes(network: Network, pending: list[_Names], fail) -> None:
-    """Add the pending ``.names`` blocks in dependency order.
+def _sort_nodes(inputs: dict[str, int], pending: list[_Names],
+                fail) -> dict[str, Node]:
+    """The pending ``.names`` blocks as nodes, in dependency order.
 
     BLIF permits forward references, so blocks are topologically sorted
     before insertion; unknown fanins and definition cycles are reported
-    with the offending block's line number.
+    with the offending block's line number.  ``inputs`` maps each
+    primary input to its declaring line.
     """
-    defined = set(network.inputs) | {entry.output for entry in pending}
+    defined = set(inputs).union(entry.output for entry in pending)
     waiting: dict[str, int] = {}
     readers: dict[str, list[_Names]] = {}
     ready: list[_Names] = []
     for entry in pending:
-        internal = []
-        for fanin in entry.fanins:
-            if fanin not in defined:
-                fail(entry.lineno,
-                     f"node {entry.output!r}: fanin {fanin!r} is never "
-                     f"defined")
-            if fanin not in network.inputs:
-                internal.append(fanin)
-        waiting[entry.output] = len(internal)
-        for fanin in internal:
-            readers.setdefault(fanin, []).append(entry)
-        if not internal:
+        fanins = entry.fanins
+        if not defined.issuperset(fanins):
+            fanin = next(f for f in fanins if f not in defined)
+            fail(entry.lineno,
+                 f"node {entry.output!r}: fanin {fanin!r} is never "
+                 f"defined")
+        count = 0
+        for fanin in fanins:
+            if fanin not in inputs:
+                count += 1
+                waiters = readers.get(fanin)
+                if waiters is None:
+                    readers[fanin] = [entry]
+                else:
+                    waiters.append(entry)
+        waiting[entry.output] = count
+        if not count:
             ready.append(entry)
-    placed = 0
+    nodes: dict[str, Node] = {}
+    trusted = Node._trusted
     while ready:
         entry = ready.pop()
-        cover = _rows_to_cover(entry, fail)
-        network.add_node(entry.output, entry.fanins, cover)
-        placed += 1
+        nodes[entry.output] = trusted(
+            entry.output, entry.fanins, _rows_to_cover(entry, fail))
         for reader in readers.get(entry.output, ()):
-            waiting[reader.output] -= 1
-            if waiting[reader.output] == 0:
+            left = waiting[reader.output] - 1
+            waiting[reader.output] = left
+            if not left:
                 ready.append(reader)
-    if placed != len(pending):
+    if len(nodes) != len(pending):
         stuck = [e for e in pending if waiting.get(e.output, 0) > 0]
         names = sorted(e.output for e in stuck)
         fail(min(e.lineno for e in stuck),
              f"combinational cycle through .names blocks {names[:5]}")
+    return nodes
 
 
 def _rows_to_cover(entry: _Names, fail) -> Cover:
     n = len(entry.fanins)
-    rows = entry.rows
-    if not rows:
+    if not entry.values:
         return Cover.zero(n)  # .names with no rows is constant 0
-    values = {value for _, _, value in rows}
+    values = set(entry.values)
     if len(values) != 1:
-        fail(rows[0][0], f"node {entry.output!r} mixes on-set and "
-                         f"off-set rows")
-    cover = Cover(n, [Cube.from_string(p) for _, p, _ in rows if p != ""])
-    if rows[0][1] == "":  # constant node
+        fail(entry.row_line, f"node {entry.output!r} mixes on-set and "
+                             f"off-set rows")
+    if not n:  # constant node
         return Cover.one(n) if values == {"1"} else Cover.zero(n)
+    parse = Cube.from_string
+    cover = Cover._trusted(n, [parse(p) for p in entry.patterns])
     if values == {"1"}:
         return cover
     return cover.complement()  # off-set rows define the complement
@@ -187,26 +209,30 @@ def _rows_to_cover(entry: _Names, fail) -> Cover:
 
 def _logical_lines(text: str):
     """Strip comments, join continuations; yields ``(lineno, line)``."""
-    joined: list[tuple[int, str]] = []
     carry = ""
     carry_start = 0
     for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip() and not carry:
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        line = raw.rstrip()
+        if not line and not carry:
             continue
         if line.endswith("\\"):
             if not carry:
                 carry_start = number
             carry += line[:-1] + " "
             continue
-        full = (carry + line).strip()
-        start = carry_start if carry else number
-        carry = ""
+        if carry:
+            full = (carry + line).strip()
+            start = carry_start
+            carry = ""
+        else:
+            full = line.lstrip()
+            start = number
         if full:
-            joined.append((start, full))
+            yield start, full
     if carry.strip():
-        joined.append((carry_start, carry.strip()))
-    return joined
+        yield carry_start, carry.strip()
 
 
 def read_blif(path: str | Path) -> Network:
@@ -216,23 +242,21 @@ def read_blif(path: str | Path) -> Network:
 
 def write_blif(network: Network, path: str | Path | None = None) -> str:
     """Serialize to BLIF text; also writes ``path`` when given."""
-    out = io.StringIO()
-    out.write(f".model {network.name}\n")
-    out.write(".inputs " + " ".join(network.inputs) + "\n")
-    out.write(".outputs " + " ".join(network.outputs) + "\n")
+    lines = [f".model {network.name}",
+             ".inputs " + " ".join(network.inputs),
+             ".outputs " + " ".join(network.outputs)]
+    nodes = network.nodes
     for name in network.topological_order():
-        node = network.nodes[name]
-        out.write(".names " + " ".join(node.fanins + [name]) + "\n")
-        constant = node.constant_value()
-        if not node.fanins:
-            if constant:
-                out.write("1\n")
-            # constant 0 is an empty .names block
-        else:
-            for cube in node.cover.cubes:
-                out.write(cube.to_string() + " 1\n")
-    out.write(".end\n")
-    text = out.getvalue()
+        node = nodes[name]
+        lines.append(" ".join([".names", *node.fanins, name]))
+        if node.fanins:
+            lines.extend([cube.to_string() + " 1"
+                          for cube in node.cover.cubes])
+        elif node.constant_value():
+            lines.append("1")
+        # constant 0 is an empty .names block
+    lines.append(".end\n")
+    text = "\n".join(lines)
     if path is not None:
         Path(path).write_text(text)
     return text

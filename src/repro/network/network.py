@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator
 
-from repro.cubes import Cover
+from repro.cubes import Cover, Cube
 
 from .node import Node
 
@@ -31,7 +31,16 @@ class Network:
     an internal node; primary outputs reference signals by name.  The
     graph must be acyclic; topological orderings are recomputed on demand
     and cached until the network is mutated.
+
+    Pickles carry the graph only (see :meth:`__reduce__`): a restored
+    network keeps its node order, covers and :attr:`version` but not
+    its mutation log.
     """
+
+    #: ``(inputs list, set of it)`` behind :meth:`is_input`; a
+    #: class-level default so networks unpickled from the default
+    #: ``__dict__`` format (which lacks the attribute) work unchanged.
+    _pi_index: "tuple[list[str], set[str]] | None" = None
 
     def __init__(self, name: str = "top"):
         self.name = name
@@ -91,18 +100,50 @@ class Network:
             touched.update(entry)
         return frozenset(touched)
 
+    def __reduce__(self):
+        """Pickle as flat tuples: ``(name, fanins, n, [(n, ones, zeros),
+        ...])`` per node, in dict and cube order.
+
+        The mutation log is left out: a restored network starts its log
+        at its own version, so :meth:`changed_signals` answers ``None``
+        (rebuild) for any earlier version.  That is sound because every
+        cache keyed on a version also keys on the network object, and
+        the restored object is a new one.
+        """
+        nodes = [(node.name, node.fanins, node.cover.n,
+                  [(cube.n, cube.ones, cube.zeros)
+                   for cube in node.cover.cubes])
+                 for node in self.nodes.values()]
+        return (_restore_network,
+                (self.name, self.inputs, self.outputs, nodes,
+                 self._topo_cache, self._version))
+
+    @classmethod
+    def _assemble(cls, name: str, inputs: list[str], outputs: list[str],
+                  nodes: dict[str, Node], version: int) -> "Network":
+        """A network from parts the caller has already validated, with
+        an empty mutation log starting at ``version``."""
+        network = cls(name)
+        network.inputs = inputs
+        network.outputs = outputs
+        network.nodes = nodes
+        network._version = network._log_start = version
+        return network
+
     def add_input(self, name: str) -> str:
-        if name in self.nodes or name in self.inputs:
+        inputs = self._input_set()
+        if name in self.nodes or name in inputs:
             raise NetworkError(f"signal {name!r} already defined")
         self.inputs.append(name)
+        inputs.add(name)
         self._invalidate()
         return name
 
     def add_node(self, name: str, fanins: list[str], cover: Cover) -> str:
-        if name in self.nodes or name in self.inputs:
+        if self.signal_exists(name):
             raise NetworkError(f"signal {name!r} already defined")
         for fanin in fanins:
-            if fanin not in self.nodes and fanin not in self.inputs:
+            if not self.signal_exists(fanin):
                 raise NetworkError(
                     f"node {name!r}: fanin {fanin!r} not defined yet "
                     "(add nodes in topological order)")
@@ -115,7 +156,7 @@ class Network:
         return self.add_node(name, [], cover)
 
     def add_output(self, name: str) -> None:
-        if name not in self.nodes and name not in self.inputs:
+        if not self.signal_exists(name):
             raise NetworkError(f"output references unknown signal {name!r}")
         self.outputs.append(name)
         # Topological order doesn't depend on the output list, but
@@ -137,7 +178,7 @@ class Network:
         if name not in self.nodes:
             raise NetworkError(f"no node named {name!r}")
         for fanin in fanins:
-            if fanin not in self.nodes and fanin not in self.inputs:
+            if not self.signal_exists(fanin):
                 raise NetworkError(f"fanin {fanin!r} not defined")
         old = self.nodes[name]
         self.nodes[name] = Node(name, fanins, cover)
@@ -165,10 +206,20 @@ class Network:
         return name in self._input_set()
 
     def _input_set(self) -> set[str]:
-        return set(self.inputs)
+        """The primary inputs as a set (read-only to callers).
+
+        :meth:`add_input` keeps it in step; it is rebuilt when
+        ``inputs`` is reassigned or changes length behind the network's
+        back (inputs are unique, so length tracks membership).
+        """
+        index = self._pi_index
+        if index is None or index[0] is not self.inputs \
+                or len(index[1]) != len(self.inputs):
+            index = self._pi_index = (self.inputs, set(self.inputs))
+        return index[1]
 
     def signal_exists(self, name: str) -> bool:
-        return name in self.nodes or name in self.inputs
+        return name in self.nodes or name in self._input_set()
 
     def node(self, name: str) -> Node:
         return self.nodes[name]
@@ -187,23 +238,31 @@ class Network:
         if self._topo_cache is not None:
             return list(self._topo_cache)
         inputs = self._input_set()
-        pending: dict[str, int] = {}
+        pending: dict[str, int] = {}      # nodes with internal fanins
         fanout: dict[str, list[str]] = {}
         ready: list[str] = []
         for name, node in self.nodes.items():
-            internal_fanins = [f for f in node.fanins if f not in inputs]
-            pending[name] = len(internal_fanins)
-            for fanin in internal_fanins:
-                fanout.setdefault(fanin, []).append(name)
-            if not internal_fanins:
+            count = 0
+            for fanin in node.fanins:
+                if fanin not in inputs:
+                    count += 1
+                    readers = fanout.get(fanin)
+                    if readers is None:
+                        fanout[fanin] = [name]
+                    else:
+                        readers.append(name)
+            if count:
+                pending[name] = count
+            else:
                 ready.append(name)
         order: list[str] = []
         while ready:
             name = ready.pop()
             order.append(name)
             for reader in fanout.get(name, ()):
-                pending[reader] -= 1
-                if pending[reader] == 0:
+                left = pending[reader] - 1
+                pending[reader] = left
+                if not left:
                     ready.append(reader)
         if len(order) != len(self.nodes):
             stuck = sorted(n for n, count in pending.items() if count > 0)
@@ -300,6 +359,25 @@ class Network:
     def __repr__(self) -> str:
         return (f"Network({self.name!r}, {len(self.inputs)} PIs, "
                 f"{len(self.nodes)} nodes, {len(self.outputs)} POs)")
+
+
+def _restore_network(name, inputs, outputs, nodes, topo, version):
+    """Unpickle :meth:`Network.__reduce__`'s tuples.  Equal cubes come
+    back as one shared :class:`Cube` (cubes are immutable)."""
+    shared: dict[tuple[int, int, int], Cube] = {}
+    built = {}
+    for node_name, fanins, n, rows in nodes:
+        cubes = []
+        for row in rows:
+            cube = shared.get(row)
+            if cube is None:
+                cube = shared[row] = Cube._trusted(*row)
+            cubes.append(cube)
+        built[node_name] = Node._trusted(node_name, fanins,
+                                         Cover._trusted(n, cubes))
+    network = Network._assemble(name, inputs, outputs, built, version)
+    network._topo_cache = topo
+    return network
 
 
 def embed(dst: Network, src: Network, binding: dict[str, str],

@@ -29,6 +29,17 @@ class Node:
         self.fanins = list(fanins)
         self.cover = cover
 
+    @classmethod
+    def _trusted(cls, name: str, fanins: list[str],
+                 cover: Cover) -> "Node":
+        """A node from parts already validated (the BLIF parser, the
+        checkpoint codec); ``fanins`` is adopted, not copied."""
+        node = cls.__new__(cls)
+        node.name = name
+        node.fanins = fanins
+        node.cover = cover
+        return node
+
     @property
     def is_constant(self) -> bool:
         return not self.fanins
