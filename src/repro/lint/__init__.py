@@ -22,6 +22,8 @@ export as SARIF 2.1.0 with stable fingerprints for CI baselines
 (:mod:`repro.lint.sarif`).
 """
 
+from repro.approx.prover import PairSemantics, ProofResult
+
 from .certificates import (CERT_SCHEMA_VERSION, ERROR_CERT_KIND,
                            build_certificate, build_error_certificate,
                            certificate_digest, check_certificate,
@@ -37,7 +39,6 @@ from .registry import LintRule, all_rules, get_rule, rule, rules_for
 from .sarif import (FINGERPRINT_KEY, diagnostic_fingerprint,
                     finding_fingerprint, load_baseline, new_results,
                     to_sarif, validate_sarif, write_sarif)
-from .semantics import PairSemantics, ProofResult
 
 __all__ = [
     "CERT_SCHEMA_VERSION",

@@ -6,7 +6,7 @@ design — the synthesis loop only *guarantees* the per-PO implication
 (Sec 2.2); internal nodes may be individually "incorrect" yet globally
 masked, which is legitimate.  The per-PO implication itself
 (``pair.po-implication``) is the error-severity rule, re-proved from
-scratch by :class:`~repro.lint.semantics.PairSemantics`.
+scratch by :class:`~repro.approx.prover.PairSemantics`.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from repro.approx.cube_selection import (conforms, feasible_subspace,
                                          phase_cover)
 from repro.approx.types import NodeType
 from repro.bdd import BddManager, BddOverflowError
+from repro.lab.proofs import EXACT_ENGINES
 
 from .diagnostics import Severity
 from .registry import rule
@@ -249,7 +250,7 @@ def po_implication(ctx, emit):
             continue  # pair.direction-missing/-value already fired
         if not ctx.approx.signal_exists(po):
             continue  # pair.io-mismatch already fired
-        proof = ctx.prove(po, direction)
+        proof = ctx.semantics().implication(po, direction)
         if proof.holds is True:
             continue
         condition = "G => F" if direction == 1 else "F => G"
@@ -262,12 +263,13 @@ def po_implication(ctx, emit):
         # Refuted.  Exactly-checked flows claimed a proof, so this is
         # an error; simulation-checked (or admittedly incorrect) runs
         # only ever claimed statistical confidence.
-        exact_claim = ctx.claimed_method in ("bdd", "sat", "static") \
+        exact_claim = ctx.claimed_method in EXACT_ENGINES \
             and ctx.claimed_correct.get(po, True)
         severity = Severity.ERROR if exact_claim else Severity.WARNING
+        witness = ctx.semantics().witness(po, direction).witness
         emit(f"output {po!r}: implication {condition} does not hold "
              f"({proof.method.upper()} counterexample found)",
              location=f"po:{po}", severity=severity,
              hint="repair the cone (exact cube selection at the "
                   "sources provably restores correctness)",
-             data={"witness": proof.witness, "stats": proof.stats})
+             data={"witness": witness, "stats": proof.stats})

@@ -12,6 +12,7 @@ Three entry points, one per scope:
 
 from __future__ import annotations
 
+from repro.approx.prover import PairSemantics
 from repro.network import Network
 
 from . import analyzerules as _analyzerules  # noqa: F401 (registers rules)
@@ -23,7 +24,6 @@ from .certificates import (build_certificate, build_error_certificate,
                            write_certificates)
 from .diagnostics import Diagnostic, LintReport
 from .registry import rules_for
-from .semantics import PairSemantics, ProofResult
 
 LINT_LEVELS = ("off", "warn", "strict")
 
@@ -132,14 +132,12 @@ class PairContext:
         self._error_evaluation = None
         self._static = None
         self._semantics: PairSemantics | None = None
-        self._proof_cache: dict[tuple[str, int], ProofResult] = {}
-        #: (po, direction, proof) triples for certificate emission.
-        self.proofs: list[tuple[str, int, ProofResult]] = []
 
     def semantics(self) -> PairSemantics:
+        """The pair's prover: BDDs first, SAT when they overflow."""
         if self._semantics is None:
             self._semantics = PairSemantics(
-                self.original, self.approx,
+                self.original, self.approx, ("bdd", "sat"),
                 bdd_node_budget=self.bdd_node_budget,
                 sat_conflict_budget=self.sat_conflict_budget,
                 ctx=self.ctx)
@@ -164,14 +162,6 @@ class PairContext:
                 self._static = StaticDischarger(self.original,
                                                 self.approx)
         return self._static
-
-    def prove(self, po: str, direction: int) -> ProofResult:
-        key = (po, direction)
-        if key not in self._proof_cache:
-            proof = self.semantics().implication(po, direction)
-            self._proof_cache[key] = proof
-            self.proofs.append((po, direction, proof))
-        return self._proof_cache[key]
 
 
 class FlowContext:
@@ -236,7 +226,8 @@ def lint_pair(original: Network, approx: Network, types: dict,
                            error_report=error_report)
     report.diagnostics.extend(_run_scope("pair", pair_ctx))
     if certificates:
-        for po, direction, proof in pair_ctx.proofs:
+        verdicts = pair_ctx.semantics().verdicts
+        for (po, direction), proof in verdicts.items():
             if proof.holds is True and not proof.stats.get("trivial"):
                 report.certificates.append(build_certificate(
                     original, approx, po, direction, proof))

@@ -39,6 +39,14 @@ class Gate:
                 assignment |= 1 << i
         return self.cover.evaluate(assignment)
 
+    def __reduce__(self):
+        # A bundled library's cells pickle by name (see GateLibrary).
+        for library in LIBRARIES.values():
+            if library.gates.get(self.name) is self:
+                return _bundled_cell, (library.name, self.name)
+        return Gate, (self.name, self.cover, self.area, self.delay,
+                      self.power)
+
 
 class GateLibrary:
     """A named collection of gates, keyed by cell name."""
@@ -66,6 +74,24 @@ class GateLibrary:
 
     def __repr__(self) -> str:
         return f"GateLibrary({self.name!r}, {len(self.gates)} cells)"
+
+    def __reduce__(self):
+        # The bundled libraries pickle by name: a restored netlist then
+        # shares the live library (``MappedNetlist.merge_from`` compares
+        # libraries by identity), and no checkpoint carries a copy.
+        # Neither class defines ``__setstate__``, so default pickles
+        # written earlier still load, as private copies.
+        if LIBRARIES.get(self.name) is self:
+            return _bundled_library, (self.name,)
+        return GateLibrary, (self.name, list(self.gates.values()))
+
+
+def _bundled_library(name: str) -> GateLibrary:
+    return LIBRARIES[name]
+
+
+def _bundled_cell(library: str, cell: str) -> Gate:
+    return LIBRARIES[library].gates[cell]
 
 
 def _and_cover(n: int) -> Cover:

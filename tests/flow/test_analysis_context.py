@@ -104,7 +104,7 @@ def test_one_build_per_network_version():
     # shared context there must be exactly one build per (original,
     # approx) version.
     from repro.approx import approximation_percentages
-    from repro.lint.semantics import PairSemantics
+    from repro.lint import PairSemantics
 
     original, approx = _pair()
     directions = {po: 1 for po in original.outputs}
@@ -112,12 +112,9 @@ def test_one_build_per_network_version():
     ctx = AnalysisContext()
     approximation_percentages(original, approx, directions, ctx=ctx)
     # The prover builds lazily: the first implication query of each
-    # instance reuses the context's pair manager.  Static discharge is
-    # off so the queries actually reach the BDD layer under test.
-    PairSemantics(original, approx, ctx=ctx, static=False) \
-        .implication(po, 1)
-    PairSemantics(original, approx, ctx=ctx, static=False) \
-        .implication(po, 1)
+    # instance reuses the context's pair manager.
+    PairSemantics(original, approx, ctx=ctx).implication(po, 1)
+    PairSemantics(original, approx, ctx=ctx).implication(po, 1)
     assert ctx.stats["global_bdds"]["misses"] == 1
     assert ctx.stats["global_bdds"]["hits"] == 2
 

@@ -21,7 +21,7 @@ from repro.bench import tiny_benchmark
 from repro.ced import run_ced_flow
 from repro.lab.cache import ArtifactStore
 from repro.network import Network, parse_blif
-from repro.synth import quick_map
+from repro.synth import Gate, GateLibrary, quick_map
 from repro.synth.netlist import MappedNetlist
 
 CIRCUITS = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" \
@@ -38,12 +38,12 @@ TOKENS = {
 
 
 class _LegacyPickler(pickle.Pickler):
-    """Default ``__dict__`` pickles for the two graph classes, as before
-    they defined ``__reduce__`` (less the network's input-set memo,
-    which that format predates)."""
+    """Default ``__dict__`` pickles for the two graph classes and the
+    gate library, as before they defined ``__reduce__`` (less the
+    network's input-set memo, which that format predates)."""
 
     def reducer_override(self, value):
-        if type(value) in (Network, MappedNetlist):
+        if type(value) in (Network, MappedNetlist, GateLibrary, Gate):
             state = {k: v for k, v in vars(value).items()
                      if k != "_pi_index"}
             return copyreg.__newobj__, (type(value),), state, None, None
@@ -94,6 +94,38 @@ def test_mapped_netlist_round_trip():
     assert back.evaluate_outputs(dict.fromkeys(mapped.inputs, True)) == \
         mapped.evaluate_outputs(dict.fromkeys(mapped.inputs, True))
     assert len(pickle.dumps(mapped)) < len(_legacy_dumps(mapped))
+
+
+def test_restored_netlist_shares_the_bundled_library():
+    live = quick_map(tiny_benchmark())
+    back = pickle.loads(pickle.dumps(quick_map(tiny_benchmark())))
+    assert back.library is live.library
+    assert all(gate.cell is live.library.gates[gate.cell.name]
+               for gate in back.gates.values())
+    mapping = live.merge_from(back, "b_", {pi: pi for pi in back.inputs})
+    assert set(mapping) >= set(back.gates)
+    # The by-name library costs a few bytes instead of a cell table.
+    assert len(pickle.dumps(live.library)) < 100
+
+
+def test_custom_library_pickles_by_value():
+    custom = GateLibrary("generic", list(quick_map(
+        tiny_benchmark()).library.gates.values())[:3])
+    back = pickle.loads(pickle.dumps(custom))
+    assert back is not custom
+    assert back.cells() == custom.cells()
+    assert [back.get(c) for c in back.cells()] == \
+        [custom.get(c) for c in custom.cells()]
+
+
+def test_default_format_netlist_pickle_still_loads():
+    mapped = quick_map(tiny_benchmark())
+    back = pickle.loads(_legacy_dumps(mapped))
+    assert back.library is not mapped.library
+    assert back.library.cells() == mapped.library.cells()
+    assert_same_netlist(mapped, back)
+    assert back.evaluate_outputs(dict.fromkeys(mapped.inputs, True)) == \
+        mapped.evaluate_outputs(dict.fromkeys(mapped.inputs, True))
 
 
 def test_mapped_netlist_without_topo_cache_round_trips():
