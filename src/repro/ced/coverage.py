@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sim import WORD_BITS, Fault, batched, get_simulator, popcount
+from repro.sim import (WORD_BITS, Fault, get_simulator, observed_faults,
+                       popcount)
 
 from .architecture import CedAssembly
 
@@ -69,37 +70,40 @@ def evaluate_ced(assembly: CedAssembly, n_words: int = 8,
                   for v in (0, 1)]
     rng = np.random.default_rng(seed)
     golden = sim.run(sim.random_inputs(rng, n_words))
-    scratches = (sim.run_stuck_batch(golden, batch)
-                 for batch in batched(faults, sim))
-    return tally_coverage(sim, assembly, golden, scratches, len(faults))
+    site_rows, forced = sim.stuck_words(faults, n_words)
+    return tally_coverage(sim, assembly, golden, site_rows, forced)
 
 
 def tally_coverage(sim, assembly: CedAssembly, golden: np.ndarray,
-                   scratches, n_faults: int) -> CoverageResult:
-    """Coverage counts of faulty value cubes against one golden block.
+                   site_rows: np.ndarray,
+                   forced: np.ndarray) -> CoverageResult:
+    """Coverage counts of forced-value faults against one golden block.
 
-    ``scratches`` yields ``(S, B, W)`` cubes, one lane per fault, all
-    simulated on the vectors of ``golden``.  The fault-free CED must
-    report a valid (complementary) codeword on every vector; vectors
-    where it does not (possible only for statistically checked
-    approximations) are excluded.  The block is shared, so the
-    per-fault exclusion count is uniform.
+    Fault ``i`` forces row ``site_rows[i]`` to ``forced[i]`` on the
+    vectors of ``golden`` (see :func:`~repro.sim.observed_faults`).
+    The fault-free CED must report a valid (complementary) codeword on
+    every vector; vectors where it does not (possible only for
+    statistically checked approximations) are excluded.  The block is
+    shared, so the per-fault exclusion count is uniform.
     """
     po_indices = [sim.index[assembly.netlist.po_signals[po]]
                   for po in assembly.original.outputs]
     e0 = sim.index[assembly.error_pair[0]]
     e1 = sim.index[assembly.error_pair[1]]
+    n_po = len(po_indices)
     valid = golden[e0] ^ golden[e1]
     golden_po = golden[po_indices]
     error_runs = detected_error = detected_all = false_alarms = 0
-    for scratch in scratches:
-        diff = scratch[po_indices] ^ golden_po[:, None, :]
+    for _, faulty in observed_faults(sim, golden, site_rows, forced,
+                                     po_indices + [e0, e1]):
+        diff = faulty[:n_po] ^ golden_po[:, None, :]
         error_mask = np.bitwise_or.reduce(diff, axis=0) & valid
-        detect_mask = ~(scratch[e0] ^ scratch[e1]) & valid  # equal rails
+        detect_mask = ~(faulty[n_po] ^ faulty[n_po + 1]) & valid  # equal rails
         error_runs += popcount(error_mask)
         detected_error += popcount(error_mask & detect_mask)
         detected_all += popcount(detect_mask)
         false_alarms += popcount(detect_mask & ~error_mask)
+    n_faults = len(site_rows)
     return CoverageResult(
         runs=n_faults * golden.shape[1] * WORD_BITS,
         error_runs=error_runs,

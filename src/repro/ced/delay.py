@@ -10,9 +10,10 @@ meet timing (the approximate circuit's critical path is much shorter
 than the original's — the very property the paper leverages), so only
 the original gates carry delay faults.
 
-One golden vector pair is shared by every fault, and faults are
-evaluated in batched lanes on the compiled tape
-(:func:`~repro.sim.delayfaults.run_transition_fault_batch`);
+One golden vector pair is shared by every fault.  Each fault forces
+its gate's late value in the second cycle, and the campaign runs on
+the stem-region path (:func:`~repro.sim.observed_faults`), exactly
+like a stuck-at campaign;
 :func:`~repro.sim.delayfaults.run_transition_fault` is the single-fault
 reference it is tested against.
 """
@@ -21,10 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sim import batched, get_simulator
-from repro.sim.delayfaults import (TransitionFault,
-                                   run_transition_fault_batch,
-                                   transition_fault_list)
+from repro.sim import get_simulator
+from repro.sim.delayfaults import (TransitionFault, transition_fault_list,
+                                   transition_words)
 
 from .architecture import CedAssembly
 from .coverage import CoverageResult, tally_coverage
@@ -36,10 +36,10 @@ def evaluate_delay_fault_ced(assembly: CedAssembly, n_words: int = 8,
                              ctx=None) -> CoverageResult:
     """Fault-simulate transition faults and measure CED coverage.
 
-    One golden vector *pair* is drawn for the whole campaign; faults
-    are evaluated in lanes on the compiled tape, and the second cycle
-    is scored exactly as :func:`~repro.ced.coverage.evaluate_ced`
-    scores a stuck-at campaign.
+    One golden vector *pair* is drawn for the whole campaign, and the
+    second cycle is scored exactly as
+    :func:`~repro.ced.coverage.evaluate_ced` scores a stuck-at
+    campaign.
     """
     sim = (ctx.simulator if ctx is not None
            else get_simulator)(assembly.netlist)
@@ -49,6 +49,5 @@ def evaluate_delay_fault_ced(assembly: CedAssembly, n_words: int = 8,
     rng = np.random.default_rng(seed)
     first = sim.run(sim.random_inputs(rng, n_words))
     second = sim.run(sim.random_inputs(rng, n_words))
-    scratches = (run_transition_fault_batch(sim, first, second, batch)
-                 for batch in batched(faults, sim))
-    return tally_coverage(sim, assembly, second, scratches, len(faults))
+    site_rows, forced = transition_words(sim, first, second, faults)
+    return tally_coverage(sim, assembly, second, site_rows, forced)

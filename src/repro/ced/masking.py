@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sim import WORD_BITS, Fault, batched, get_simulator, popcount
+from repro.sim import (WORD_BITS, Fault, get_simulator, observed_faults,
+                       popcount)
 from repro.synth.mapping import Emitter
 from repro.synth.netlist import MappedNetlist
 
@@ -119,12 +120,14 @@ def evaluate_masking(masked: MaskedCircuit, n_words: int = 8,
     golden_raw = golden[raw_idx]
     golden_masked = golden[masked_idx]
     raw_errors = masked_errors = 0
-    for batch in batched(faults, sim):
-        scratch = sim.run_stuck_batch(golden, batch)
+    n_raw = len(raw_idx)
+    site_rows, forced = sim.stuck_words(faults, n_words)
+    for _, faulty in observed_faults(sim, golden, site_rows, forced,
+                                     raw_idx + masked_idx):
         raw_errors += popcount(np.bitwise_or.reduce(
-            scratch[raw_idx] ^ golden_raw[:, None, :], axis=0))
+            faulty[:n_raw] ^ golden_raw[:, None, :], axis=0))
         masked_errors += popcount(np.bitwise_or.reduce(
-            scratch[masked_idx] ^ golden_masked[:, None, :], axis=0))
+            faulty[n_raw:] ^ golden_masked[:, None, :], axis=0))
     return MaskingResult(runs=len(faults) * n_words * WORD_BITS,
                          raw_error_runs=raw_errors,
                          masked_error_runs=masked_errors)

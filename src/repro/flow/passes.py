@@ -146,7 +146,8 @@ class PassManager:
         self._active_analysis = ctx.analysis
         chain_key = ""
         for pass_obj in self.passes:
-            chain_key = self._checkpoint_key(pass_obj, chain_key)
+            if self.store is not None:      # keys only address a store
+                chain_key = self._checkpoint_key(pass_obj, chain_key)
             record = PassRecord(name=pass_obj.name)
             before = ctx.analysis.snapshot()
             start = time.perf_counter()

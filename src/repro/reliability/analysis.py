@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sim import (OutputErrorStats, batched, fault_list,
-                       get_simulator, popcount, run_campaign,
+from repro.sim import (OutputErrorStats, fault_list, get_simulator,
+                       observed_faults, popcount, run_campaign,
                        signal_probabilities)
 
 
@@ -88,9 +88,10 @@ def max_ced_coverage(circuit, approximations: dict[str, int],
         [approximations.get(po, 0) == 0 for po in sim.output_names],
         dtype=bool)
     error_runs = detectable_runs = 0
-    for batch in batched(faults, sim):
-        diff = sim.run_stuck_batch(golden, batch)[
-            sim.output_indices] ^ lifted
+    site_rows, forced = sim.stuck_words(faults, n_words)
+    for _, faulty in observed_faults(sim, golden, site_rows, forced,
+                                     sim.output_indices):
+        diff = faulty ^ lifted
         detectable = np.where(protect_up[:, None, None],
                               diff & ~lifted, diff & lifted)
         any_error = np.bitwise_or.reduce(diff, axis=0)

@@ -5,18 +5,17 @@ changes some primary output.  It ranks gates by how much a fault at that
 gate matters — the criticality measure that drives partial duplication
 [10] and provides the analytic reliability view of [14].
 
-Both estimators batch their injections on the compiled simulation tape:
-signals are grouped into lanes that share one golden simulation, so the
-whole sweep costs a handful of vectorized passes instead of one Python
-cone walk per signal.
+Both estimators run on the stem-region campaign
+(:func:`~repro.sim.observed_faults`): one golden simulation, one toggle
+per fanout stem, and every signal's output changes derived from its
+stem's.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.sim import (DEFAULT_BATCH, WORD_BITS, batched, bit_count,
-                       get_simulator)
+from repro.sim import WORD_BITS, bit_count, get_simulator, observed_faults
 
 
 def global_observabilities(circuit, n_words: int = 16,
@@ -33,13 +32,10 @@ def global_observabilities(circuit, n_words: int = 16,
     golden = sim.run(sim.random_inputs(rng, n_words))
     if signals is None:
         signals = list(sim.signals)
-    result: dict[str, float] = {}
-    for batch in batched(signals, sim):
-        site_rows = _site_rows(sim, batch)
-        counts = _change_counts(sim, golden, site_rows, ~golden[site_rows])
-        for name, count in zip(batch, counts):
-            result[name] = int(count) / (n_words * WORD_BITS)
-    return result
+    site_rows = _site_rows(sim, signals)
+    counts = _change_counts(sim, golden, site_rows, ~golden[site_rows])
+    return {signals[i]: int(counts[i]) / (n_words * WORD_BITS)
+            for i in _level_order(sim, signals)}
 
 
 def error_contributions(circuit, n_words: int = 8,
@@ -55,17 +51,15 @@ def error_contributions(circuit, n_words: int = 8,
     sim = get_simulator(circuit)
     rng = np.random.default_rng(seed)
     golden = sim.run(sim.random_inputs(rng, n_words))
-    result: dict[str, float] = {}
+    gates = sim.signals[sim.num_inputs:]
+    gate_rows = _site_rows(sim, gates)
     # Two lanes per signal: stuck-at-0 and stuck-at-1.
-    for batch in batched(sim.signals[sim.num_inputs:], sim,
-                         size=DEFAULT_BATCH // 2):
-        site_rows = np.repeat(_site_rows(sim, batch), 2)
-        forced = np.zeros((len(site_rows), n_words), dtype=np.uint64)
-        forced[1::2] = ~np.uint64(0)
-        counts = _change_counts(sim, golden, site_rows, forced)
-        for name, sa0, sa1 in zip(batch, counts[0::2], counts[1::2]):
-            result[name] = int(sa0 + sa1) / (2 * n_words * WORD_BITS)
-    return result
+    forced = np.zeros((2 * len(gates), n_words), dtype=np.uint64)
+    forced[1::2] = ~np.uint64(0)
+    counts = _change_counts(sim, golden, np.repeat(gate_rows, 2), forced)
+    return {gates[i]: int(counts[2 * i] + counts[2 * i + 1])
+            / (2 * n_words * WORD_BITS)
+            for i in _level_order(sim, gates)}
 
 
 def _site_rows(sim, signals) -> np.ndarray:
@@ -73,11 +67,23 @@ def _site_rows(sim, signals) -> np.ndarray:
                        count=len(signals))
 
 
+def _level_order(sim, signals) -> list[int]:
+    """Signal positions by logic level (stable): the report's key order.
+
+    Callers sum these dicts' values, so the order is part of the
+    result.
+    """
+    return sorted(range(len(signals)),
+                  key=lambda i: sim.site_level(signals[i]))
+
+
 def _change_counts(sim, golden: np.ndarray, site_rows: np.ndarray,
                    forced: np.ndarray) -> np.ndarray:
     """Per lane, the vectors on which forcing a site changes some PO."""
-    scratch = sim.run_forced_batch(golden, site_rows, forced)
-    golden_out = sim.outputs_of(golden)
-    diff = scratch[sim.output_indices] ^ golden_out[:, None, :]
-    any_change = np.bitwise_or.reduce(diff, axis=0)        # (B, W)
-    return bit_count(any_change).sum(axis=1, dtype=np.int64)
+    counts = np.zeros(len(site_rows), dtype=np.int64)
+    golden_out = sim.outputs_of(golden)[:, None, :]
+    for lanes, faulty in observed_faults(sim, golden, site_rows, forced,
+                                         sim.output_indices):
+        any_change = np.bitwise_or.reduce(faulty ^ golden_out, axis=0)
+        counts[lanes] = bit_count(any_change).sum(axis=1, dtype=np.int64)
+    return counts

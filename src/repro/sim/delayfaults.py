@@ -74,6 +74,25 @@ def run_transition_fault(sim: BitSimulator, first_values: np.ndarray,
     return sim.run_forced(second_values, fault.signal, forced)
 
 
+def transition_words(sim: BitSimulator, first_values: np.ndarray,
+                     second_values: np.ndarray,
+                     faults: list[TransitionFault]
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Site rows and second-cycle forced words of transition ``faults``.
+
+    Returns ``(site_rows, forced)``: each fault forces its gate's
+    :func:`late_value` on the golden vector pair.
+    """
+    site_rows = np.fromiter((sim.index[f.signal] for f in faults),
+                            dtype=np.intp, count=len(faults))
+    rise = np.fromiter((f.slow_to == 1 for f in faults), dtype=bool,
+                       count=len(faults))
+    first = first_values[site_rows]
+    second = second_values[site_rows]
+    return site_rows, np.where(rise[:, None], late_value(first, second, 1),
+                               late_value(first, second, 0))
+
+
 def run_transition_fault_batch(sim: BitSimulator,
                                first_values: np.ndarray,
                                second_values: np.ndarray,
@@ -83,14 +102,10 @@ def run_transition_fault_batch(sim: BitSimulator,
 
     All faults share the same golden vector pair; returns the faulty
     value cube of shape (S, len(faults), n_words) — lane ``b`` holds the
-    second-cycle values with ``faults[b]``'s late value forced.
+    second-cycle values with ``faults[b]``'s late value forced.  The
+    full-cube reference for the stem-region campaign of
+    :func:`~repro.ced.delay.evaluate_delay_fault_ced`.
     """
-    n_words = second_values.shape[1]
-    site_rows = np.fromiter((sim.index[f.signal] for f in faults),
-                            dtype=np.intp, count=len(faults))
-    forced = np.empty((len(faults), n_words), dtype=np.uint64)
-    for lane, fault in enumerate(faults):
-        idx = site_rows[lane]
-        forced[lane] = late_value(first_values[idx], second_values[idx],
-                                  fault.slow_to)
+    site_rows, forced = transition_words(sim, first_values,
+                                         second_values, faults)
     return sim.run_forced_batch(second_values, site_rows, forced)

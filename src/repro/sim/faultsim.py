@@ -6,12 +6,15 @@ output errors by direction (0->1 vs 1->0).  Bit-parallel words make each
 (fault, word) simulation cover 64 runs of the paper's campaign.
 
 Every campaign draws one vector block and runs one golden simulation,
-shared by all faults; faults are then re-evaluated in lanes of
-:data:`DEFAULT_BATCH` on the compiled tape
-(:meth:`BitSimulator.run_stuck_batch`), grouped by :func:`batched`.
-Lanes are independent, so the grouping never changes a result.  The
-overlay interpreter (:meth:`BitSimulator.run_fault`) is the
-single-fault reference the batched path is tested against.
+shared by all faults, and reads the faulty values of the rows it
+scores from :func:`observed_faults`: each fanout stem is toggled once
+on the compiled tape, and every fault inside the stem's fanout-free
+region is derived from that toggle and the golden values (critical
+path tracing).  Faults are independent, so neither the stem grouping
+nor the block order changes a result.  The overlay interpreter
+(:meth:`BitSimulator.run_forced`) is the single-fault reference this
+path is tested against, and :meth:`BitSimulator.run_stuck_batch` (one
+full tape lane per fault) the full-cube one.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .faults import Fault, fault_list
 from .simulator import (WORD_BITS, BitSimulator, bit_count, get_simulator,
                         popcount)
 
-#: Fault lanes evaluated together in one batched tape pass.
+#: Stems toggled together in one batched tape pass.
 DEFAULT_BATCH = 32
 
 
@@ -65,21 +68,67 @@ class FaultSimReport:
         return self.error_runs / self.runs if self.runs else 0.0
 
 
-def batched(items, sim: BitSimulator, size: int = DEFAULT_BATCH):
-    """Yield ``items`` in groups of ``size``, sorted by site depth.
+def observed_faults(sim: BitSimulator, golden: np.ndarray, site_rows,
+                    forced, observe):
+    """Faulty values of the ``observe`` rows, one fault per lane.
 
-    Items are faults (anything with a ``signal``) or signal names.
-    Sorting groups sites of similar logic level, so each batched tape
-    pass skips the levels below its shallowest site (see
-    :meth:`BitSimulator.run_forced_batch`).
+    Fault ``i`` forces row ``site_rows[i]`` to ``forced[i]`` (shape
+    (F, n_words)) against the vectors of ``golden``.  Yields ``(lanes,
+    values)`` blocks: ``lanes`` indexes the faults, ``values`` (O,
+    len(lanes), n_words) holds their faulty values at the ``observe``
+    rows (duplicates allowed).  Every fault appears in exactly one
+    block, and faults never interact, so block order never changes a
+    tally.
+
+    The faults are not simulated one by one.  A fault inside the
+    fanout-free region of a stem (see
+    :meth:`BitSimulator.fanout_free_regions`) reaches the rest of the
+    circuit only through that stem, and it flips the stem exactly on
+    the vectors where it is excited (``forced ^ golden[site]``) and
+    every gate between site and stem passes the change on (``obs``).
+    On those vectors the circuit computes what it computes with the
+    stem inverted; elsewhere it computes the golden values.  So each
+    distinct stem is toggled once, through
+    :meth:`BitSimulator.run_forced_batch` in level-sorted groups of
+    :data:`DEFAULT_BATCH`, and each fault's observed values are
+    ``golden ^ (toggle difference & flip mask)``.  Only one group's
+    toggle cube is alive at a time, and each block is at most that
+    cube's size.
     """
-    def level(item) -> int:
-        return sim.site_level(item if isinstance(item, str)
-                              else item.signal)
-
-    ordered = sorted(items, key=level)
-    for start in range(0, len(ordered), size):
-        yield ordered[start:start + size]
+    site_rows = np.asarray(site_rows, dtype=np.intp)
+    forced = np.asarray(forced, dtype=np.uint64)
+    observe = np.asarray(observe, dtype=np.intp)
+    if site_rows.size == 0:
+        return
+    stem_of, obs = sim.fanout_free_regions(golden, observe)
+    site_stems = stem_of[site_rows]
+    flips = (forced ^ golden[site_rows]) & obs[site_rows]      # (F, W)
+    is_stem = np.zeros(len(sim.signals), dtype=bool)
+    is_stem[site_stems] = True
+    stems = np.flatnonzero(is_stem)
+    stems = stems[np.argsort(sim._level_of_row[stems], kind="stable")]
+    slot = np.empty(len(sim.signals), dtype=np.intp)
+    slot[stems] = np.arange(stems.size)
+    fault_slot = slot[site_stems]
+    order = np.argsort(fault_slot, kind="stable")
+    bounds = np.searchsorted(fault_slot[order],
+                             np.arange(0, stems.size + DEFAULT_BATCH,
+                                       DEFAULT_BATCH))
+    golden_obs = golden[observe][:, None, :]                 # (O, 1, W)
+    # Lanes per block, so a block is no larger than a toggle cube.
+    width = max(DEFAULT_BATCH,
+                len(sim.signals) * DEFAULT_BATCH // max(observe.size, 1))
+    for group, start in enumerate(range(0, stems.size, DEFAULT_BATCH)):
+        toggled = stems[start:start + DEFAULT_BATCH]
+        delta = sim.run_forced_batch(golden, toggled,
+                                     ~golden[toggled])[observe]
+        delta ^= golden_obs                                  # (O, G, W)
+        for first in range(bounds[group], bounds[group + 1], width):
+            lanes = order[first:min(first + width, bounds[group + 1])]
+            values = delta[:, fault_slot[lanes] - start, :]
+            values &= flips[lanes]
+            values ^= golden_obs
+            yield lanes, values
 
 
 def run_campaign(circuit, n_words: int = 8, seed: int = 2008,
@@ -102,9 +151,10 @@ def run_campaign(circuit, n_words: int = 8, seed: int = 2008,
     n_outputs = len(sim.output_names)
     zero_to_one = np.zeros(n_outputs, dtype=np.int64)
     one_to_zero = np.zeros(n_outputs, dtype=np.int64)
-    for batch in batched(faults, sim):
-        diff = sim.run_stuck_batch(golden, batch)[sim.output_indices] \
-            ^ lifted
+    site_rows, forced = sim.stuck_words(faults, n_words)
+    for _, faulty in observed_faults(sim, golden, site_rows, forced,
+                                     sim.output_indices):
+        diff = faulty ^ lifted
         report.error_runs += popcount(np.bitwise_or.reduce(diff, axis=0))
         zero_to_one += bit_count(diff & ~lifted).sum(axis=(1, 2),
                                                      dtype=np.int64)

@@ -13,8 +13,13 @@ Two evaluation paths coexist:
   ``reduceat`` segment offsets), so :meth:`BitSimulator.run` evaluates a
   whole level with four vectorized calls instead of per-cube Python
   loops.  The tape also supports *batched* faulty evaluation
-  (:meth:`BitSimulator.run_forced_batch`): many faults share one golden
-  simulation and are re-evaluated together along an extra lane axis.
+  (:meth:`BitSimulator.run_forced_batch`): many forced rows share one
+  golden simulation and are re-evaluated together along an extra lane
+  axis.  Campaigns force only fanout stems there:
+  :meth:`BitSimulator.fanout_free_regions` maps every row to its stem
+  and to the vectors on which flipping the row flips the stem, which
+  is all a fault inside the stem's fanout-free region needs (see
+  :func:`repro.sim.faultsim.observed_faults`).
 * the original **interpreter** (:meth:`BitSimulator.run_interpreted` and
   the overlay-based :meth:`BitSimulator.run_forced`), kept both as the
   reference oracle for equivalence tests and for sparse single-fault
@@ -132,6 +137,7 @@ class BitSimulator:
                         self._readers[idx].append(out)
             self._step_fanins.append(tuple(ordered))
         self._tfo_cache: dict[int, list[int]] = {}
+        self._regions: tuple | None = None   # see fanout_free_regions
         self._compile_tape()
 
     # ------------------------------------------------------------------
@@ -209,16 +215,21 @@ class BitSimulator:
             self._eval_level(lvl, values)
 
     @staticmethod
-    def _eval_level(lvl: _TapeLevel, values: np.ndarray) -> None:
+    def _eval_level(lvl: _TapeLevel, values: np.ndarray,
+                    out: np.ndarray | None = None) -> None:
+        """Evaluate one level reading ``values``, writing ``out``
+        (``values`` itself by default) at the level's output rows."""
+        if out is None:
+            out = values
         if lvl.lit_idx.size:
             lits = values[lvl.lit_idx]
             np.bitwise_xor(lits, lvl.lit_inv[:, None], out=lits)
             terms = np.bitwise_and.reduceat(lits, lvl.cube_starts,
                                             axis=0)
-            values[lvl.gate_out] = np.bitwise_or.reduceat(
+            out[lvl.gate_out] = np.bitwise_or.reduceat(
                 terms, lvl.gate_cube_starts, axis=0)
         if lvl.const_out.size:
-            values[lvl.const_out] = lvl.const_vals[:, None]
+            out[lvl.const_out] = lvl.const_vals[:, None]
 
     # ------------------------------------------------------------------
     # Input generation
@@ -301,31 +312,96 @@ class BitSimulator:
         # Sites at the shallowest level (or on PIs) are forced up front;
         # deeper sites are recomputed by their own level's sweep and
         # overwritten with the forced value before any reader (always at
-        # a strictly higher level) consumes them.
+        # a strictly higher level) consumes them.  The deeper sites are
+        # grouped by level once, not rescanned at every level.
         head = levels <= lmin
         scratch[site_rows[head], lanes[head]] = forced[head]
+        late: dict[int, list[int]] = {}     # tape index -> lanes
+        for lane in np.flatnonzero(~head).tolist():
+            late.setdefault(int(levels[lane]) - 1, []).append(lane)
         flat = scratch.reshape(n_signals, n_lanes * n_words)
         for ti in range(lmin, len(self._tape)):
             self._eval_level(self._tape[ti], flat)
-            late = levels == ti + 1
-            if late.any():
-                scratch[site_rows[late], lanes[late]] = forced[late]
+            due = late.get(ti)
+            if due is not None:
+                scratch[site_rows[due], due] = forced[due]
         return scratch
+
+    def stuck_words(self, faults, n_words: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """Site rows and forced words of stuck-at ``faults``.
+
+        ``faults`` is a sequence of objects with ``signal`` and
+        ``stuck`` attributes (:class:`~repro.sim.faults.Fault`).
+        Returns ``(site_rows, forced)`` of shapes (B,) and (B, n_words).
+        """
+        site_rows = np.fromiter((self.index[f.signal] for f in faults),
+                                dtype=np.intp, count=len(faults))
+        stuck = np.fromiter((f.stuck for f in faults), dtype=bool,
+                            count=len(faults))
+        forced = np.zeros((len(faults), n_words), dtype=np.uint64)
+        forced[stuck] = _ALL_ONES
+        return site_rows, forced
 
     def run_stuck_batch(self, golden: np.ndarray, faults) -> np.ndarray:
         """Batched stuck-at evaluation: one lane per fault.
 
-        ``faults`` is a sequence of objects with ``signal`` and
-        ``stuck`` attributes (:class:`~repro.sim.faults.Fault`).
-        Returns the (S, B, n_words) faulty value cube.
+        Returns the (S, B, n_words) faulty value cube.  Campaigns use
+        the stem-region path (:func:`repro.sim.faultsim.observed_faults`);
+        this full-cube sweep is the reference it is tested against.
         """
-        n_words = golden.shape[1]
-        site_rows = np.fromiter((self.index[f.signal] for f in faults),
-                                dtype=np.intp, count=len(faults))
-        forced = np.empty((len(faults), n_words), dtype=np.uint64)
-        for lane, fault in enumerate(faults):
-            forced[lane] = _ALL_ONES if fault.stuck else np.uint64(0)
+        site_rows, forced = self.stuck_words(faults, golden.shape[1])
         return self.run_forced_batch(golden, site_rows, forced)
+
+    # ------------------------------------------------------------------
+    # Fanout-free regions
+    # ------------------------------------------------------------------
+    def fanout_free_regions(self, golden: np.ndarray, observe
+                            ) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's stem and its observability at that stem.
+
+        A *stem* is a row read by a number of gates other than one
+        (fanout branches, dead rows, primary outputs read nowhere) or
+        any row of ``observe``.  Every other row has one reader, and
+        following readers from it reaches exactly one stem: the rows on
+        that path are its fanout-free region, and a fault inside it
+        reaches the rest of the circuit only through the stem.
+
+        Returns ``(stem_of, obs)``: ``stem_of`` (S,) maps every row to
+        its stem (a stem to itself) and ``obs`` (S, n_words) holds, per
+        vector of ``golden``, whether flipping the row flips its stem —
+        the AND of the reader's boolean differences along the path,
+        each computed on golden values by forcing the whole row to 0
+        and to 1 (so a reader that reads the row on two pins counts
+        once, and a constant reader's difference is 0).
+        """
+        regions = self._regions
+        if regions is None:
+            regions = self._regions = _compile_regions(self)
+        reader, by_level, diff_lvl, diff_rows = regions
+        n_signals, n_words = golden.shape
+        diff = np.zeros((n_signals, n_words), dtype=np.uint64)
+        if diff_rows.size:
+            padded = np.empty((n_signals + 2, n_words), dtype=np.uint64)
+            padded[:n_signals] = golden
+            padded[n_signals] = 0                    # the row forced to 0
+            padded[n_signals + 1] = _ALL_ONES        # ... and to 1
+            low = np.empty((diff_rows.size, n_words), dtype=np.uint64)
+            self._eval_level(diff_lvl[0], padded, low)
+            high = np.empty_like(low)
+            self._eval_level(diff_lvl[1], padded, high)
+            diff[diff_rows] = low ^ high
+        stem = reader < 0
+        stem[np.asarray(observe, dtype=np.intp)] = True
+        stem_of = np.arange(n_signals, dtype=np.intp)
+        obs = np.full((n_signals, n_words), _ALL_ONES, dtype=np.uint64)
+        for rows in by_level:             # deepest level first
+            rows = rows[~stem[rows]]
+            if rows.size:
+                up = reader[rows]
+                stem_of[rows] = stem_of[up]
+                obs[rows] = diff[rows] & obs[up]
+        return stem_of, obs
 
     # ------------------------------------------------------------------
     # Faulty simulation — sparse overlays (interpreter)
@@ -409,6 +485,70 @@ class BitSimulator:
                 for idx in self.output_indices]
         return np.stack(rows) if rows else np.zeros((0, golden.shape[1]),
                                                     dtype=np.uint64)
+
+
+def _compile_regions(sim: BitSimulator) -> tuple:
+    """The structure behind :meth:`BitSimulator.fanout_free_regions`.
+
+    Returns ``(reader, by_level, diff_levels, diff_rows)``: the one
+    reader of every single-reader row (-1 elsewhere); the single-reader
+    rows grouped by level, deepest first; and two tape levels that
+    evaluate, for each row of ``diff_rows`` (the single-reader rows
+    whose reader is not constant), that reader with the row replaced
+    by the constant-0 row ``S`` and by the constant-1 row ``S + 1``.
+    """
+    n_signals = len(sim.signals)
+    reader = np.full(n_signals, -1, dtype=np.intp)
+    for row, readers in enumerate(sim._readers):
+        if len(readers) == 1:
+            reader[row] = readers[0]
+    single = np.flatnonzero(reader >= 0)
+    levels = sim._level_of_row[single]
+    order = np.argsort(-levels, kind="stable")
+    single, levels = single[order], levels[order]
+    cuts = np.flatnonzero(np.diff(levels)) + 1
+    by_level = np.split(single, cuts) if single.size else []
+
+    lit_idx: list[int] = []
+    lit_inv: list[int] = []
+    owner: list[int] = []
+    cube_starts: list[int] = []
+    gate_cube_starts: list[int] = []
+    diff_rows: list[int] = []
+    n_cubes = 0
+    for row in single.tolist():
+        _, cubes = sim.steps[sim._step_of[int(reader[row])]]
+        if any(not pos and not neg for pos, neg in cubes):
+            continue                   # tautology reader: difference 0
+        diff_rows.append(row)
+        gate_cube_starts.append(n_cubes)
+        first = len(lit_idx)
+        for pos, neg in cubes:
+            cube_starts.append(len(lit_idx))
+            lit_idx.extend(pos)
+            lit_idx.extend(neg)
+            lit_inv.extend([0] * len(pos) + [1] * len(neg))
+            n_cubes += 1
+        owner.extend([row] * (len(lit_idx) - first))
+    lits = np.asarray(lit_idx, dtype=np.intp)
+    is_row = lits == np.asarray(owner, dtype=np.intp)
+    inv = np.where(np.asarray(lit_inv, dtype=bool), _ALL_ONES,
+                   np.uint64(0)).astype(np.uint64)
+    no_const = np.zeros(0, dtype=np.intp)
+
+    def forced_to(const_row: int) -> _TapeLevel:
+        return _TapeLevel(
+            lit_idx=np.where(is_row, const_row, lits).astype(np.intp),
+            lit_inv=inv,
+            cube_starts=np.asarray(cube_starts, dtype=np.intp),
+            gate_cube_starts=np.asarray(gate_cube_starts, dtype=np.intp),
+            gate_out=np.arange(len(diff_rows), dtype=np.intp),
+            const_out=no_const,
+            const_vals=np.zeros(0, dtype=np.uint64))
+
+    return (reader, by_level,
+            (forced_to(n_signals), forced_to(n_signals + 1)),
+            np.asarray(diff_rows, dtype=np.intp))
 
 
 # ----------------------------------------------------------------------

@@ -155,3 +155,32 @@ def test_non_resumable_pass_always_runs(tmp_path):
         trace = PassManager([Ephemeral()], store=store,
                             token=token).run(FlowContext(network=None))
         assert trace.passes[0].status == "ok"
+
+
+@pytest.fixture
+def fingerprint_calls(monkeypatch):
+    import repro.flow.passes as passes_mod
+    calls = []
+    real = passes_mod.pass_fingerprint
+
+    def spying(pass_obj):
+        calls.append(pass_obj.name)
+        return real(pass_obj)
+
+    monkeypatch.setattr(passes_mod, "pass_fingerprint", spying)
+    return calls
+
+
+def test_storeless_flow_computes_no_checkpoint_keys(fingerprint_calls):
+    from repro.bench.suite import tiny_benchmark
+    from repro.ced import run_ced_flow
+    PassManager([_Produce(), _Consume()]).run(FlowContext(network=None))
+    run_ced_flow(tiny_benchmark(), reliability_words=1, coverage_words=1,
+                 power_words=1)
+    assert fingerprint_calls == []
+
+
+def test_stored_flow_keys_every_pass(tmp_path, fingerprint_calls):
+    PassManager([_Produce(), _Consume()], store=ArtifactStore(tmp_path),
+                token=flow_token("x", {})).run(FlowContext(network=None))
+    assert fingerprint_calls == ["produce", "consume"]
