@@ -18,7 +18,7 @@ Subcommands:
 * ``gen``   — export a suite benchmark (MCNC stand-in) as BLIF;
 * ``sweep`` — drive a (circuit x config) grid of CED flows through
   ``repro.lab``: parallel workers on an execution backend
-  (``local``/``tcp``/``workqueue``), content-addressed caching (killed
+  (``local``/``workqueue``), content-addressed caching (killed
   runs resume), and a structured run manifest;
 * ``search`` — budget-governed, resumable evolutionary search over
   checker candidates (``repro.search``), one lab grid per generation;
@@ -45,7 +45,7 @@ from repro.approx import (ApproxConfig, ConfigError, engine_names,
 from repro.bench import load_benchmark
 from repro.ced import run_ced_flow
 from repro.guard import Budget, BudgetExceeded
-from repro.lab.backends import BACKEND_ENV, BACKENDS
+from repro.lab import BACKEND_ENV, BACKENDS
 from repro.network import BlifError, read_blif, write_blif
 from repro.reliability import analyze_reliability
 from repro.synth import quick_map

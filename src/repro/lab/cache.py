@@ -18,7 +18,7 @@ hit/miss/eviction counters.  Two codecs sit on the core:
 
 * pickle (:class:`ArtifactStore` itself) — ``<key>.pkl`` plus a JSON
   sidecar recording provenance and the pickle's ``artifact_digest``;
-  flow checkpoints, lab results, ``tcp`` result transfer, search;
+  flow checkpoints, lab results, search;
 * self-digested JSON (:class:`JsonStore`) — one ``<key>.json`` entry
   embedding its ``schema`` and the ``digest`` of its own payload;
   proof verdicts (:class:`repro.lab.proofs.ProofCache`) and ``cli
@@ -36,7 +36,6 @@ import json
 import os
 import pickle
 import threading
-import time
 from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Any, Callable
@@ -269,10 +268,15 @@ class ArtifactStore:
         return digest
 
     # -- hygiene ---------------------------------------------------------
-    def _entries(self) -> list[tuple[str, int, float]]:
-        """``(key, bytes, mtime)`` per entry, sidecars included.  Only
-        ``root/<2 chars>/`` shards are walked, so a store nested under
-        the root (``.lab_cache/proofs``) is never taken for entries."""
+    def _entries(self) -> list[tuple[str, int, tuple]]:
+        """``(key, bytes, stamps)`` per entry, sidecars included.
+
+        ``stamps`` holds one ``(st_mtime_ns, st_ino)`` per file of
+        :meth:`_paths`, primary first (``None`` for a missing sidecar):
+        the identity :meth:`_unlink_entry` re-checks, and, by its first
+        item, the entry's age.  Only ``root/<2 chars>/`` shards are
+        walked, so a store nested under the root (``.lab_cache/proofs``)
+        is never taken for entries."""
         found = []
         for path in self.root.glob(f"??/*{self.SUFFIX}"):
             key = path.name[:-len(self.SUFFIX)]
@@ -281,10 +285,16 @@ class ArtifactStore:
             except OSError:
                 continue
             size = stat.st_size
+            stamps = [(stat.st_mtime_ns, stat.st_ino)]
             for side in self._paths(key)[1:]:
-                with suppress(OSError):
-                    size += side.stat().st_size
-            found.append((key, size, stat.st_mtime))
+                try:
+                    side_stat = side.stat()
+                except OSError:
+                    stamps.append(None)
+                    continue
+                size += side_stat.st_size
+                stamps.append((side_stat.st_mtime_ns, side_stat.st_ino))
+            found.append((key, size, tuple(stamps)))
         return found
 
     def stats(self) -> dict:
@@ -300,50 +310,55 @@ class ArtifactStore:
         }
 
     @staticmethod
-    def _unlink_if_older(path: Path, scan_start: float) -> bool:
-        """Unlink ``path`` unless a writer refreshed it after the scan.
+    def _unlink_if_same(path: Path, stamp: "tuple | None") -> bool:
+        """Unlink ``path`` if it is still the file the scan judged.
 
         Prune scans race with concurrent ``put`` writers: the atomic
         rename can land between the directory walk and the unlink, and
         blindly unlinking would then delete the *fresh* entry that the
-        scan never judged.  Re-stat right before the unlink and spare
-        anything written at or after ``scan_start``; a file already
-        removed by someone else is simply not ours to count.  Returns
-        True when this call removed the file.
+        scan never judged.  Every write renames a new file into place,
+        so a rewritten file has a new inode: re-stat right before the
+        unlink and spare anything whose ``(st_mtime_ns, st_ino)`` is not
+        the ``stamp`` the scan recorded.  No clock is read, so a
+        filesystem stamping mtimes behind ``time.time()`` cannot make a
+        fresh file look old.  A file already removed by someone else is
+        simply not ours to count.  Returns True when this call removed
+        the file.
         """
         try:
-            if path.stat().st_mtime >= scan_start:
+            stat = path.stat()
+            if (stat.st_mtime_ns, stat.st_ino) != stamp:
                 return False
             path.unlink()
             return True
         except OSError:
             return False
 
-    def _unlink_entry(self, key: str, scan_start: float) -> bool:
-        """Remove an entry judged at ``scan_start``: its primary file,
-        then its sidecars, each through :meth:`_unlink_if_older`."""
+    def _unlink_entry(self, key: str, stamps: tuple) -> bool:
+        """Remove an entry the scan recorded with ``stamps``: its
+        primary file, then its sidecars, each through
+        :meth:`_unlink_if_same`."""
         primary, *sidecars = self._paths(key)
-        if not self._unlink_if_older(primary, scan_start):
+        if not self._unlink_if_same(primary, stamps[0]):
             return False
-        for side in sidecars:
-            self._unlink_if_older(side, scan_start)
+        for side, stamp in zip(sidecars, stamps[1:]):
+            self._unlink_if_same(side, stamp)
         return True
 
     def prune(self, max_bytes: int) -> dict:
         """Evict oldest entries (by mtime) until under ``max_bytes``.
 
-        Safe against concurrent writers: entries written after the scan
-        started are never deleted, and an entry vanishing mid-scan
-        (evicted by a reader, pruned by another process) is tolerated.
+        Safe against concurrent writers: an entry rewritten after the
+        scan is never deleted, and an entry vanishing mid-scan (evicted
+        by a reader, pruned by another process) is tolerated.
         """
-        scan_start = time.time()
-        entries = sorted(self._entries(), key=lambda e: e[2])
+        entries = sorted(self._entries(), key=lambda e: e[2][0])
         total = sum(size for _, size, _ in entries)
         removed = 0
-        for key, size, _ in entries:
+        for key, size, stamps in entries:
             if total <= max_bytes:
                 break
-            if self._unlink_entry(key, scan_start):
+            if self._unlink_entry(key, stamps):
                 total -= size
                 removed += 1
         return {"removed": removed, "kept_entries": len(entries) - removed,
@@ -357,17 +372,16 @@ class ArtifactStore:
         is unpickled, and an artifact whose sidecar is gone counts as
         stale.  Concurrent writers are tolerated as in :meth:`prune`.
         """
-        scan_start = time.time()
         removed = 0
         kept = 0
-        for key, _, _ in self._entries():
+        for key, _, stamps in self._entries():
             try:
                 with self._locked(key, fcntl.LOCK_SH):
                     blob = self._paths(key)[0].read_bytes()
                     try:
                         self._check(key, blob)
                     except Exception:
-                        if self._unlink_entry(key, scan_start):
+                        if self._unlink_entry(key, stamps):
                             removed += 1
                             continue
             except OSError:

@@ -1,18 +1,18 @@
-"""Scheduler/executor: ready jobs onto an execution backend.
+"""Scheduler/executor: ready jobs onto a ``concurrent.futures`` pool.
 
 ``LabRunner`` runs a :class:`~repro.lab.job.JobGraph` through one
-scheduling loop on an :class:`~repro.lab.backends.ExecutorBackend` —
-the default ``local`` process pool, the in-process ``workqueue``
-thread pool, the distributed ``tcp`` coordinator/worker pair, or, in
-``serial`` mode, an inline executor that runs each job in the calling
-thread.  Jobs get per-job timeouts enforced inside the worker via
-``SIGALRM``, bounded retry on failure, and graceful partial-failure
-semantics: a failed job marks its transitive dependents ``skipped``
-instead of aborting the whole grid.  Completed artifacts land in the
-content-addressed :class:`~repro.lab.cache.ArtifactStore`, so
-re-invoking the same grid skips finished jobs and a killed run resumes
-where it left off.  Every run writes a structured manifest under
-``results/runs/<run_id>/``.
+scheduling loop on an executor chosen by backend name (:data:`BACKENDS`)
+— the default ``local`` process pool, or the in-process ``workqueue``
+thread pool for many-small-jobs grids, where process-pool pickling
+overhead dominates the work itself — or, with ``workers="serial"``, an
+inline executor that runs each job in the calling thread.  Jobs get
+per-job timeouts enforced inside the worker via ``SIGALRM``, bounded
+retry on failure, and graceful partial-failure semantics: a failed job
+marks its transitive dependents ``skipped`` instead of aborting the
+whole grid.  Completed artifacts land in the content-addressed
+:class:`~repro.lab.cache.ArtifactStore`, so re-invoking the same grid
+skips finished jobs and a killed run resumes where it left off.  Every
+run writes a structured manifest under ``results/runs/<run_id>/``.
 """
 
 from __future__ import annotations
@@ -22,23 +22,29 @@ import signal
 import threading
 import time
 import traceback
-from concurrent.futures import (FIRST_COMPLETED, CancelledError, Future,
-                                wait)
+from concurrent.futures import (FIRST_COMPLETED, CancelledError, Executor,
+                                Future, ProcessPoolExecutor,
+                                ThreadPoolExecutor, wait)
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from .backends import (ExecutorBackend, JobRequest, create_backend,
-                       resolve_backend)
 from .cache import MISS, ArtifactStore, cache_key
 from .job import Job, JobGraph
 from .manifest import build_manifest, new_run_id, write_manifest
 
 __all__ = ["JobResult", "LabRun", "LabRunner", "run_jobs",
-           "resolve_workers", "JobTimeout", "WORKERS_ENV"]
+           "resolve_workers", "JobTimeout", "WORKERS_ENV",
+           "BACKENDS", "BACKEND_ENV", "resolve_backend"]
 
 #: Environment knob for the worker count; ``serial`` or an integer.
 WORKERS_ENV = "REPRO_LAB_WORKERS"
+
+#: Environment knob selecting the executor backend by name.
+BACKEND_ENV = "REPRO_LAB_BACKEND"
+
+#: The backend names :func:`resolve_backend` accepts.
+BACKENDS = ("local", "workqueue")
 
 
 class JobTimeout(Exception):
@@ -78,6 +84,47 @@ def resolve_workers(value: "int | str | None" = None) -> "int | str":
                 f"(expected an integer or 'serial')",
                 field_name=source, value=value) from None
     return "serial" if value <= 1 else int(value)
+
+
+def resolve_backend(value: "str | None" = None) -> str:
+    """Backend name from the argument, env, or the ``local`` default.
+
+    Unknown names raise a structured
+    :class:`~repro.approx.ConfigError` (CLI: exit 2 with JSON), naming
+    whether the bad value came from the argument or the environment.
+    """
+    source = "backend"
+    if value is None:
+        value = os.environ.get(BACKEND_ENV)
+        if value is not None:
+            source = BACKEND_ENV
+    if value is None:
+        return "local"
+    name = value.strip().lower()
+    if name not in BACKENDS:
+        from repro.approx import ConfigError
+        raise ConfigError(
+            f"unknown lab backend {value!r} "
+            f"(known: {', '.join(BACKENDS)})",
+            field_name=source, value=value)
+    return name
+
+
+class _InlineExecutor(Executor):
+    """Runs each job in the calling thread, inside :meth:`submit`.
+
+    The future holds the outcome or whatever the call raised, a
+    ``KeyboardInterrupt`` included, so an interrupt mid-job reaches the
+    runner when it collects the future, like one from a pool worker.
+    """
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except BaseException as exc:
+            future.set_exception(exc)
+        return future
 
 
 def _alarm(signum, frame):
@@ -246,7 +293,7 @@ class LabRunner:
     """
 
     workers: "int | str | None" = None
-    #: Execution backend name (``local``/``tcp``/``workqueue``);
+    #: Execution backend name (``local``/``workqueue``);
     #: ``None`` falls back to ``REPRO_LAB_BACKEND`` then ``local``.
     backend: "str | None" = None
     cache: "ArtifactStore | None" = field(
@@ -281,9 +328,17 @@ class LabRunner:
         self._emit(f"[lab] run {run_id}: {total} jobs, "
                    f"workers={workers}, backend={backend_name}")
         interrupt: "BaseException | None" = None
+        if workers == "serial":
+            executor: Executor = _InlineExecutor()
+        elif backend_name == "local":
+            executor = ProcessPoolExecutor(max_workers=workers)
+        else:
+            # Jobs in a thread pool cannot be interrupted (SIGALRM is
+            # main-thread-only): a timeout there is best-effort, and a
+            # hung job keeps its thread.
+            executor = ThreadPoolExecutor(max_workers=workers)
         try:
-            self._run_backend(graph, results, create_backend(
-                backend_name, workers, cache=self.cache, log=self.log))
+            self._run_backend(graph, results, executor)
         except (KeyboardInterrupt, SystemExit) as exc:
             # Pool teardown (Ctrl-C or a harness kill): the manifest
             # below records what actually happened — in-flight jobs as
@@ -403,161 +458,165 @@ class LabRunner:
     # -- scheduling loop -------------------------------------------------
     def _run_backend(self, graph: JobGraph,
                      results: dict[str, JobResult],
-                     backend: ExecutorBackend) -> None:
-        """Drive the graph on any :class:`ExecutorBackend`.
+                     executor: Executor) -> None:
+        """Drive the graph on ``executor``, then shut it down.
 
-        Every mode runs this one loop.  A pool backend runs the whole
-        ready set at once; the serial executor runs each job inside
-        ``submit``, so the loop harvests it (or the interrupt it
-        raised) before starting the next.
+        Every mode runs this one loop.  A pool runs the whole ready set
+        at once; the serial executor runs each job inside ``submit``, so
+        the loop harvests it (or the interrupt it raised) before
+        starting the next.
         """
         total = len(graph)
         pending = set(graph.names)
         running: dict[Future, tuple[str, int]] = {}
+        torn_down = False
 
-        with backend:
-
-            def submit(job: Job, attempts: int) -> "Future | None":
-                try:
-                    future = backend.submit(JobRequest(
-                        name=job.name, fn=job.fn, params=job.params,
-                        timeout=self._timeout_of(job),
-                        dep_results=self._dep_results(job, results)))
-                except Exception as exc:  # unpicklable/unshippable fn
-                    results[job.name] = JobResult(
-                        name=job.name, status="failed",
-                        error=f"submit failed: {exc}",
-                        attempts=attempts,
-                        seed=graph.seed_for(job.name))
-                    return None
-                running[future] = (job.name, attempts)
-                return future
-
-            def schedule_ready() -> bool:
-                """Launch/cache-resolve every ready job; True if moved.
-
-                The pass stops at a shutdown request, and once a job it
-                launched has already finished (serial mode), so no job
-                starts before a finished one is harvested.
-                """
-                if any(future.done() for future in running):
-                    return False       # e.g. a serial retry: harvest
-                progressed = False
-                in_flight = {name for name, _ in running.values()}
-                for name in sorted(pending):
-                    if self._shutdown.is_set():
-                        break
-                    if name in in_flight or name in results:
-                        continue
-                    job = graph.job(name)
-                    if not all(d in results for d in job.deps):
-                        continue
-                    if not all(results[d].ok for d in job.deps):
-                        results[name] = JobResult(
-                            name=name, status="skipped",
-                            error="dependency failed",
-                            seed=graph.seed_for(name))
-                        pending.discard(name)
-                        self._progress(results[name], len(results),
-                                       total)
-                        progressed = True
-                        continue
-                    cached = self._try_cache(graph, job, results)
-                    if cached is not None:
-                        results[name] = cached
-                        pending.discard(name)
-                        self._progress(cached, len(results), total)
-                        progressed = True
-                        continue
-                    future = submit(job, 1)
-                    if future is None:
-                        pending.discard(name)
-                        self._skip_dependents(graph, name, results, total)
-                        self._progress(results[name], len(results),
-                                       total)
-                        continue
-                    progressed = True
-                    if future.done():
-                        break
-                return progressed
-
-            def teardown(current: "str | None" = None) -> None:
-                """Record in-flight jobs cancelled, stop the backend."""
-                if current is not None:
-                    self._cancel(graph, current, results, total)
-                for name, _ in running.values():
-                    if name not in results:
-                        self._cancel(graph, name, results, total)
-                running.clear()
-                pending.clear()
-                backend.shutdown(cancel_futures=True)
-
+        def submit(job: Job, attempts: int) -> "Future | None":
             try:
-                while pending or running:
-                    moved = schedule_ready()
-                    if self._shutdown.is_set():
-                        teardown()
-                        return
-                    if not running:
-                        if moved:
-                            continue    # cache hits may unblock more
-                        # Nothing runnable and nothing running:
-                        # remaining jobs are unreachable (defensive;
-                        # validate() should have caught cycles).
-                        for name in sorted(pending):
-                            if name not in results:
-                                results[name] = JobResult(
-                                    name=name, status="skipped",
-                                    error="unreachable",
-                                    seed=graph.seed_for(name))
-                        pending.clear()
-                        break
-                    # Harvest without blocking while the ready set
-                    # still moves; otherwise the timeout keeps
-                    # request_shutdown() responsive.
-                    finished, _ = wait(running,
-                                       return_when=FIRST_COMPLETED,
-                                       timeout=0 if moved else 0.25)
-                    for future in finished:
-                        name, attempts = running.pop(future)
-                        job = graph.job(name)
-                        try:
-                            outcome = future.result()
-                        except CancelledError:
-                            # Torn down before it ran: not a failure.
-                            self._cancel(graph, name, results, total)
-                            pending.discard(name)
-                            continue
-                        except (KeyboardInterrupt, SystemExit):
-                            # The interrupt surfaced through the
-                            # worker; this job (and every other
-                            # in-flight one) was a teardown victim,
-                            # not a spurious failure.
-                            teardown(current=name)
-                            raise
-                        except Exception as exc:
-                            # e.g. BrokenProcessPool: the worker died
-                            # on its own — a real failure.
-                            outcome = ("error",
-                                       f"{type(exc).__name__}: {exc}",
-                                       0.0, None)
-                        if outcome[0] != "ok" \
-                                and attempts <= self._retries_of(job):
-                            self._emit(f"[lab] retry {name} "
-                                       f"(attempt {attempts + 1})")
-                            submit(job, attempts + 1)
-                            continue
-                        result = self._finish(graph, job, attempts,
-                                              outcome, results)
+                future = executor.submit(
+                    _execute_payload, job.fn, job.params,
+                    self._timeout_of(job),
+                    self._dep_results(job, results))
+            except Exception as exc:  # broken or shut-down pool
+                results[job.name] = JobResult(
+                    name=job.name, status="failed",
+                    error=f"submit failed: {exc}",
+                    attempts=attempts,
+                    seed=graph.seed_for(job.name))
+                return None
+            running[future] = (job.name, attempts)
+            return future
+
+        def schedule_ready() -> bool:
+            """Launch/cache-resolve every ready job; True if moved.
+
+            The pass stops at a shutdown request, and once a job it
+            launched has already finished (serial mode), so no job
+            starts before a finished one is harvested.
+            """
+            if any(future.done() for future in running):
+                return False       # e.g. a serial retry: harvest
+            progressed = False
+            in_flight = {name for name, _ in running.values()}
+            for name in sorted(pending):
+                if self._shutdown.is_set():
+                    break
+                if name in in_flight or name in results:
+                    continue
+                job = graph.job(name)
+                if not all(d in results for d in job.deps):
+                    continue
+                if not all(results[d].ok for d in job.deps):
+                    results[name] = JobResult(
+                        name=name, status="skipped",
+                        error="dependency failed",
+                        seed=graph.seed_for(name))
+                    pending.discard(name)
+                    self._progress(results[name], len(results),
+                                   total)
+                    progressed = True
+                    continue
+                cached = self._try_cache(graph, job, results)
+                if cached is not None:
+                    results[name] = cached
+                    pending.discard(name)
+                    self._progress(cached, len(results), total)
+                    progressed = True
+                    continue
+                future = submit(job, 1)
+                if future is None:
+                    pending.discard(name)
+                    self._skip_dependents(graph, name, results, total)
+                    self._progress(results[name], len(results),
+                                   total)
+                    continue
+                progressed = True
+                if future.done():
+                    break
+            return progressed
+
+        def teardown(current: "str | None" = None) -> None:
+            """Record in-flight jobs cancelled; the executor is
+            then shut down without waiting for them."""
+            nonlocal torn_down
+            if current is not None:
+                self._cancel(graph, current, results, total)
+            for name, _ in running.values():
+                if name not in results:
+                    self._cancel(graph, name, results, total)
+            running.clear()
+            pending.clear()
+            torn_down = True
+
+        try:
+            while pending or running:
+                moved = schedule_ready()
+                if self._shutdown.is_set():
+                    teardown()
+                    return
+                if not running:
+                    if moved:
+                        continue    # cache hits may unblock more
+                    # Nothing runnable and nothing running:
+                    # remaining jobs are unreachable (defensive;
+                    # validate() should have caught cycles).
+                    for name in sorted(pending):
+                        if name not in results:
+                            results[name] = JobResult(
+                                name=name, status="skipped",
+                                error="unreachable",
+                                seed=graph.seed_for(name))
+                    pending.clear()
+                    break
+                # Harvest without blocking while the ready set
+                # still moves; otherwise the timeout keeps
+                # request_shutdown() responsive.
+                finished, _ = wait(running,
+                                   return_when=FIRST_COMPLETED,
+                                   timeout=0 if moved else 0.25)
+                for future in finished:
+                    name, attempts = running.pop(future)
+                    job = graph.job(name)
+                    try:
+                        outcome = future.result()
+                    except CancelledError:
+                        # Torn down before it ran: not a failure.
+                        self._cancel(graph, name, results, total)
                         pending.discard(name)
-                        if not result.ok:
-                            self._skip_dependents(graph, name, results,
-                                                  total)
-                        self._progress(result, len(results), total)
-            except (KeyboardInterrupt, SystemExit):
-                # An interrupt delivered to the parent while waiting.
-                teardown()
-                raise
+                        continue
+                    except (KeyboardInterrupt, SystemExit):
+                        # The interrupt surfaced through the
+                        # worker; this job (and every other
+                        # in-flight one) was a teardown victim,
+                        # not a spurious failure.
+                        teardown(current=name)
+                        raise
+                    except Exception as exc:
+                        # e.g. BrokenProcessPool: the worker died
+                        # on its own — a real failure.
+                        outcome = ("error",
+                                   f"{type(exc).__name__}: {exc}",
+                                   0.0, None)
+                    if outcome[0] != "ok" \
+                            and attempts <= self._retries_of(job):
+                        self._emit(f"[lab] retry {name} "
+                                   f"(attempt {attempts + 1})")
+                        submit(job, attempts + 1)
+                        continue
+                    result = self._finish(graph, job, attempts,
+                                          outcome, results)
+                    pending.discard(name)
+                    if not result.ok:
+                        self._skip_dependents(graph, name, results,
+                                              total)
+                    self._progress(result, len(results), total)
+        except (KeyboardInterrupt, SystemExit):
+            # An interrupt delivered to the parent while waiting.
+            teardown()
+            raise
+        finally:
+            executor.shutdown(wait=not torn_down,
+                              cancel_futures=torn_down)
 
     # -- manifest --------------------------------------------------------
     def _write_manifest(self, graph: JobGraph, run: LabRun

@@ -91,11 +91,11 @@ def merge_manifests(docs: "list[dict[str, Any]]", *,
                     run_id: "str | None" = None) -> dict[str, Any]:
     """Combine per-host manifests of one split sweep into one document.
 
-    A grid split across hosts (each running its slice of the job graph,
-    or a ``tcp`` coordinator per site) yields one manifest per run;
-    this folds them into a single schema-valid manifest.  Job names
-    must not collide across slices — a collision means two hosts ran
-    the same job, which is a partitioning bug worth loud failure.
+    A grid split across hosts (each running its slice of the job graph)
+    yields one manifest per run; this folds them into a single
+    schema-valid manifest.  Job names must not collide across slices
+    — a collision means two hosts ran the same job, which is a
+    partitioning bug worth loud failure.
     Wall time is the max (slices ran concurrently), ``workers`` the
     sum of integer worker counts, and ``backend``/``root_seed`` are
     carried through when the slices agree (else marked ``mixed``).

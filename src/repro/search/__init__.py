@@ -2,10 +2,10 @@
 
 Searches the neighborhood of the paper-flow approximate checker for
 better coverage/area trade-offs, one :mod:`repro.lab` job grid per
-generation (so it runs on any execution backend, local or
-distributed, with caching and manifests for free).  Elitism seeds the
-population with the paper's checker, so the search never returns
-anything worse than the flow it starts from.
+generation (so it runs on any lab execution backend, with caching
+and manifests for free).  Elitism seeds the population with the
+paper's checker, so the search never returns anything worse than the
+flow it starts from.
 """
 
 from .evolve import (Candidate, SearchConfig,  # noqa: F401

@@ -6,7 +6,7 @@ checker as the seed of a population and searches its neighborhood for
 strictly better trade-offs: every generation mutates the fittest
 candidates (:mod:`repro.search.mutate`), evaluates the offspring as a
 :mod:`repro.lab` job grid through the lab's one scheduling loop, in any
-mode (``serial``, ``local``, ``workqueue``, ``tcp``), with identical
+mode (``serial``, ``local``, ``workqueue``), with identical
 results, and keeps the top ``population`` of parents +
 children (elitism: the paper-flow baseline can only ever be improved
 upon, never lost, so the search result is always at least as good as

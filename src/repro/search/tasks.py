@@ -1,9 +1,9 @@
 """Picklable evaluation tasks for the evolutionary checker search.
 
-Candidates cross the process (and, on the ``tcp`` backend, machine)
-boundary as BLIF text — the repo's native interchange format — so a
-search generation is an ordinary :mod:`repro.lab` job grid: cached in
-the artifact store, recorded in manifests, resumable after a kill.
+Candidates cross the process boundary as BLIF text — the repo's
+native interchange format — so a search generation is an ordinary
+:mod:`repro.lab` job grid: cached in the artifact store, recorded in
+manifests, resumable after a kill.
 """
 
 from __future__ import annotations

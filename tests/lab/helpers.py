@@ -77,16 +77,6 @@ def spin(seconds: float) -> str:
     return "spun"
 
 
-def kill_worker() -> None:
-    """Hard-kills the hosting worker process (no cleanup, no excuses).
-
-    Simulates a worker death mid-job for the process-hosted backends;
-    ``os._exit`` skips every handler so nothing gets reported back.
-    """
-    import os
-    os._exit(17)
-
-
 def tiny_flow(words: int = 1, seed: int = 2008) -> dict:
     from repro.lab.tasks import ced_flow_task
     return ced_flow_task("tiny", words=words, seed=seed)

@@ -1,32 +1,48 @@
-"""Backend parity: serial, local, tcp (loopback), workqueue run the
-same grids.
+"""Backend parity: serial, local and workqueue run the same grids.
 
 The contract: the backend changes *where* jobs execute, never *what*
 they compute or how the runner accounts for them.  Every backend must
 produce bit-identical job results for the same graph, schema-valid
-manifests naming the backend, and the same failure taxonomy — plus the
-tcp-specific resilience properties (worker death -> structured
-``failed``, grid completes).
+manifests naming the backend, and the same failure taxonomy.
 """
 
-import json
 import threading
-from types import SimpleNamespace
 
 import pytest
 
-from repro.lab import (BACKEND_ENV, ArtifactStore, Job, JobGraph,
-                       JobRequest, LabRunner, TcpBackend, load_manifest,
+from repro.lab import (BACKEND_ENV, BACKENDS, ArtifactStore, Job,
+                       JobGraph, LabRunner, load_manifest,
                        merge_manifests, resolve_backend,
                        validate_manifest)
 from repro.approx import ConfigError
 
-from .helpers import (add_seeded, always_fail, combine, kill_worker,
-                      spin, square)
+from .helpers import add_seeded, always_fail, combine, spin, square
 
 #: The execution modes under test.  ``serial`` is a worker count, not a
 #: backend name: it runs jobs inline under the default ``local`` name.
-BACKENDS = ("local", "tcp", "workqueue", "serial")
+MODES = BACKENDS + ("serial",)
+
+
+#: A manifest as a run on the retired ``tcp`` backend recorded it.
+TCP_MANIFEST = {
+    "backend": "tcp",
+    "counts": {"cached": 0, "cancelled": 0, "failed": 0, "ok": 1,
+               "skipped": 0},
+    "created": "2026-10-20T01:12:43.511650+00:00",
+    "jobs": {
+        "sq-7": {
+            "artifact_digest": None, "attempts": 1, "cache_key": None,
+            "deps": [], "error": None, "params": {"x": 7},
+            "peak_rss_kb": 42220, "seed": 967169646, "status": "ok",
+            "wall_time_s": 6e-06,
+        },
+    },
+    "root_seed": 9,
+    "run_id": "tcp-recorded",
+    "schema_version": 1,
+    "wall_time_s": 0.95983,
+    "workers": 2,
+}
 
 
 def backend_name(mode):
@@ -54,7 +70,7 @@ def demo_graph():
 class TestBackendParity:
     def test_all_backends_bit_identical(self, tmp_path):
         records = {}
-        for backend in BACKENDS:
+        for backend in MODES:
             run = runner_for(backend, tmp_path).run(demo_graph())
             assert run.backend == backend_name(backend)
             records[backend] = {
@@ -65,10 +81,10 @@ class TestBackendParity:
             assert doc["backend"] == backend_name(backend)
         reference = records["local"]
         assert reference["sum"] == ("ok", 4 + 9, reference["sum"][2])
-        for backend in BACKENDS[1:]:
+        for backend in MODES[1:]:
             assert records[backend] == reference
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", MODES)
     def test_failure_taxonomy(self, backend, tmp_path):
         graph = JobGraph([
             Job(name="good", fn=square, params={"x": 4}),
@@ -85,7 +101,7 @@ class TestBackendParity:
         assert validate_manifest(doc) == []
         assert doc["counts"]["failed"] == 1
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", MODES)
     def test_cancelled_taxonomy_on_shutdown(self, backend, tmp_path):
         graph = JobGraph([
             Job(name=f"spin-{i}", fn=spin, params={"seconds": 5.0})
@@ -104,7 +120,7 @@ class TestBackendParity:
         doc = load_manifest(run.manifest_path)
         assert validate_manifest(doc) == []
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", MODES)
     def test_caching_resumes_across_backends(self, backend, tmp_path):
         # A cache written by one backend serves any other: results are
         # content-addressed, not backend-addressed.
@@ -118,57 +134,20 @@ class TestBackendParity:
         assert again.values() == first.values()
 
 
-class TestTcpResilience:
-    def test_worker_death_fails_job_and_grid_completes(self, tmp_path):
-        graph = JobGraph(
-            [Job(name=f"sq-{i}", fn=square, params={"x": i})
-             for i in range(4)]
-            + [Job(name="killer", fn=kill_worker, params={})],
-            root_seed=5)
-        run = runner_for("tcp", tmp_path).run(graph)
-        assert run.results["killer"].status == "failed"
-        assert "died" in run.results["killer"].error
-        for i in range(4):
-            assert run.results[f"sq-{i}"].status == "ok"
-        doc = load_manifest(run.manifest_path)
-        assert validate_manifest(doc) == []
-        assert doc["counts"] == {"ok": 4, "cached": 0, "failed": 1,
-                                 "skipped": 0, "cancelled": 0}
-
-    def test_unshippable_fn_is_failed_submit(self, tmp_path):
+class TestLocalResilience:
+    def test_unshippable_fn_fails_only_its_job(self, tmp_path):
+        # A lambda cannot be pickled to a pool worker: its future
+        # carries the pickling error, the job is failed and its sibling
+        # still runs.
         graph = JobGraph([
             Job(name="lambda", fn=lambda: 1, params={}),
             Job(name="fine", fn=square, params={"x": 2}),
         ], root_seed=5)
-        run = runner_for("tcp", tmp_path).run(graph)
+        run = runner_for("local", tmp_path).run(graph)
         assert run.results["lambda"].status == "failed"
-        assert "submit failed" in run.results["lambda"].error
+        assert "pickle" in run.results["lambda"].error
         assert run.results["fine"].status == "ok"
-
-    def test_runs_sharing_a_store_keep_their_transfer_blobs(
-            self, tmp_path):
-        # Two coordinators on one store (two sweeps sharing
-        # .lab_cache) submit a same-named job with different
-        # dependency values; no loop or worker is started, the
-        # enqueued jobs are captured and leased by hand.
-        store = ArtifactStore(tmp_path / "shared")
-        leased = {}
-        for tag in ("first", "second"):
-            backend = TcpBackend(1, cache=store)
-            captured = []
-            backend._loop = SimpleNamespace(
-                call_soon_threadsafe=lambda fn, job: captured.append(job))
-            backend.submit(JobRequest(name="sum", fn=combine, params={},
-                                      dep_results={"dep": tag}))
-            backend._enqueue(captured[0])
-            _, spec = backend._handle_lease(
-                SimpleNamespace(body=json.dumps({"worker": "w0"})
-                                .encode()))
-            leased[tag] = spec
-        for tag, spec in leased.items():
-            assert store.get(spec["deps_key"]) == {"dep": tag}
-        # Lease tokens name the worker's result blob: distinct too.
-        assert leased["first"]["job"] != leased["second"]["job"]
+        assert run.results["fine"].value == 4
 
 
 class TestMergeManifests:
@@ -188,6 +167,21 @@ class TestMergeManifests:
         assert merged["workers"] == 4          # 2 + 2
         assert merged["backend"] == "local"
         assert len(merged["merged_from"]) == 2
+
+    def test_recorded_tcp_manifest_still_validates_and_merges(
+            self, tmp_path):
+        # Runs recorded under results/runs/ before the tcp backend was
+        # removed stay usable: valid, and mergeable with a new slice.
+        assert validate_manifest(TCP_MANIFEST) == []
+        graph = JobGraph([Job(name="sq-0", fn=square, params={"x": 0})],
+                         root_seed=9)
+        run = runner_for("local", tmp_path).run(graph)
+        merged = merge_manifests([TCP_MANIFEST,
+                                  load_manifest(run.manifest_path)])
+        assert validate_manifest(merged) == []
+        assert sorted(merged["jobs"]) == ["sq-0", "sq-7"]
+        assert merged["backend"] == "mixed"
+        assert merged["workers"] == 4
 
     def test_overlapping_slices_are_rejected(self, tmp_path):
         graph = JobGraph([Job(name="sq-0", fn=square,
@@ -214,12 +208,18 @@ class TestBackendSelection:
     def test_env_selects_and_is_named_on_error(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "workqueue")
         assert resolve_backend() == "workqueue"
-        monkeypatch.setenv(BACKEND_ENV, "bogus")
-        with pytest.raises(ConfigError) as excinfo:
-            resolve_backend()
-        assert excinfo.value.to_dict()["field"] == BACKEND_ENV
+        for bad in ("bogus", "tcp"):
+            monkeypatch.setenv(BACKEND_ENV, bad)
+            with pytest.raises(ConfigError) as excinfo:
+                resolve_backend()
+            doc = excinfo.value.to_dict()
+            assert doc["field"] == BACKEND_ENV
+            assert "(known: local, workqueue)" in doc["message"]
 
     def test_default_is_local(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
         assert resolve_backend() == "local"
-        assert resolve_backend("TCP") == "tcp"
+        assert resolve_backend("WorkQueue") == "workqueue"
+        with pytest.raises(ConfigError) as excinfo:
+            resolve_backend("TCP")
+        assert "local, workqueue" in excinfo.value.to_dict()["message"]

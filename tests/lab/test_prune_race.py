@@ -2,8 +2,9 @@
 
 The contract under test: ``prune``/``prune_stale`` running while other
 threads keep writing never crashes on a vanished file and never
-deletes an entry written after the prune's scan started — concurrent
-hygiene may under-collect, but it must not eat fresh entries.  Each
+deletes an entry rewritten after the prune's scan recorded it —
+concurrent hygiene may under-collect, but it must not eat fresh
+entries.  Each
 test runs against the JSON codec (proof verdicts) and the pickle codec
 (flow checkpoints, whose sidecar goes with its artifact).
 """
@@ -76,15 +77,14 @@ class TestPruneRaces:
             cache.put(KEYS[0], {"holds": True, "age": "old"})
             # Simulate the race deterministically: the instant after the
             # scan snapshot, a writer replaces the entry the scan judged.
-            real_unlink = type(cache)._unlink_if_older
+            real_unlink = type(cache)._unlink_if_same
 
-            def racing_unlink(target, scan_start):
+            def racing_unlink(target, stamp):
                 cache.put(KEYS[0], {"holds": True, "age": "fresh"})
-                return real_unlink(target, scan_start)
+                return real_unlink(target, stamp)
 
-            monkeypatch.setattr(type(cache), "_unlink_if_older",
+            monkeypatch.setattr(type(cache), "_unlink_if_same",
                                 staticmethod(racing_unlink))
-            time.sleep(0.01)               # ensure mtime >= scan_start
             doc = cache.prune(max_bytes=0)
             monkeypatch.undo()
             assert doc["removed"] == 0, codec

@@ -513,6 +513,16 @@ class TestSweepConfigErrors:
         assert doc["error"] == "config"
         assert doc["field"] == "backend"
 
+    def test_tcp_backend_exits_2_listing_known(self, tmp_path, capsys):
+        code = main(["sweep", "--circuits", "tiny", "--backend", "tcp",
+                     "--workers", "serial", "--no-cache", "--quiet",
+                     "--results-dir", str(tmp_path / "results")])
+        assert code == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "config"
+        assert doc["field"] == "backend"
+        assert "(known: local, workqueue)" in doc["message"]
+
 
 class TestBadBlif:
     """A malformed --blif exits 2 with a JSON document on stderr, not a
