@@ -2,7 +2,7 @@
 
 Measures, per bundled benchmark circuit, the wall time of a cold
 :func:`repro.analyze.analyze_network` pass, plus the per-analysis
-fixpoint costs (iterations, transfer applications, seconds) the engine
+fixpoint costs (transfer applications, seconds) the engine
 reports about itself, and the headline facts it found (constants, dead
 cones, SDC cubes, structural duplicates).  The analyses serve
 ``repro.lint`` and ``repro.cli analyze``; the CED flow does not run

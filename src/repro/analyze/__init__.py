@@ -1,14 +1,14 @@
 """Dataflow / abstract-interpretation framework over :class:`Network`.
 
-A generic worklist fixpoint engine (:mod:`repro.analyze.fixpoint`) with
+A generic fixpoint engine (:mod:`repro.analyze.fixpoint`) with
 pluggable lattices (:mod:`repro.analyze.lattice`) and the concrete
 domains the flow consumes (:mod:`repro.analyze.domains`): constant
 propagation, unateness/parity masks, signal-probability interval
 bounds, structural hashing, and observability (ODC) masks.
-:class:`NetworkAnalyses` bundles the solutions per network version;
-:class:`StaticDischarger` turns them into per-PO implication proofs.
-The consumers are :mod:`repro.lint` and ``repro.cli analyze``; the
-synthesis flow does not run these analyses.
+:class:`NetworkAnalyses` bundles the solutions for one network
+version.  The consumers are :mod:`repro.lint` and ``repro.cli
+analyze``; the synthesis flow does not run these analyses, and the
+per-PO implications are proved by :mod:`repro.approx.prover`.
 """
 
 from .context import (ANALYZE_SCHEMA, NetworkAnalyses, analyze_network,
@@ -16,24 +16,17 @@ from .context import (ANALYZE_SCHEMA, NetworkAnalyses, analyze_network,
 from .domains import (ConstantAnalysis, ObservabilityAnalysis,
                       ProbabilityIntervalAnalysis, StructuralHashAnalysis,
                       UnatenessAnalysis, cones_structurally_equal,
-                      constant_signals, cover_implies,
-                      sdc_redundant_cubes, structural_classes,
-                      unate_summary, unread_fanin_positions)
+                      constant_signals, sdc_redundant_cubes,
+                      structural_classes, unate_summary,
+                      unread_fanin_positions)
 from .fixpoint import DataflowAnalysis, FixpointEngine, FixpointResult
-from .lattice import (BOTTOM, REL_EQ, REL_GE, REL_LE, REL_TOP, TOP,
-                      BitsetPairLattice, FlatLattice, IntervalLattice,
-                      Lattice, RelationLattice, compose_relations,
-                      flip_relation)
-from .static_proof import StaticDischarger, StaticProof
+from .lattice import (BOTTOM, TOP, BitsetPairLattice, FlatLattice,
+                      IntervalLattice, Lattice)
 
 __all__ = [
     "ANALYZE_SCHEMA",
     "BOTTOM",
     "TOP",
-    "REL_EQ",
-    "REL_GE",
-    "REL_LE",
-    "REL_TOP",
     "BitsetPairLattice",
     "ConstantAnalysis",
     "DataflowAnalysis",
@@ -45,17 +38,11 @@ __all__ = [
     "NetworkAnalyses",
     "ObservabilityAnalysis",
     "ProbabilityIntervalAnalysis",
-    "RelationLattice",
-    "StaticDischarger",
-    "StaticProof",
     "StructuralHashAnalysis",
     "UnatenessAnalysis",
     "analyze_network",
-    "compose_relations",
     "cones_structurally_equal",
     "constant_signals",
-    "cover_implies",
-    "flip_relation",
     "load_cached_summary",
     "sdc_redundant_cubes",
     "store_summary",

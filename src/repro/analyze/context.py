@@ -1,11 +1,9 @@
 """Lazy per-network analysis bundles and the cross-process summary cache.
 
 :class:`NetworkAnalyses` runs each domain at most once per network
-version and exposes the solutions as cached properties; the
-:class:`~repro.flow.AnalysisContext` memoizes whole bundles by object
-identity + mutation version, so lint re-analyzes only when a network
-actually mutated — and then incrementally, via the fixpoint engine's
-``update`` path.
+version and exposes the solutions as cached properties.  A bundle is
+bound to the version it was built for: once its network mutates it
+refuses to answer, and the caller builds a fresh one.
 
 :func:`analyze_network` distills a bundle into the JSON summary served
 by ``repro.cli analyze`` and ``bench_analyze``;
@@ -32,16 +30,23 @@ from .domains import (ConstantAnalysis, ObservabilityAnalysis,
                       unate_summary, unread_fanin_positions)
 from .fixpoint import FixpointEngine, FixpointResult
 
-ANALYZE_SCHEMA = 1
+ANALYZE_SCHEMA = 2
+
+_FORWARD_ANALYSES = {
+    "constants": ConstantAnalysis,
+    "unateness": UnatenessAnalysis,
+    "probability": ProbabilityIntervalAnalysis,
+    "structure": StructuralHashAnalysis,
+}
 
 
 class NetworkAnalyses:
     """All analysis solutions for one network at one mutation version.
 
-    Properties solve lazily and memoize; :meth:`refresh` re-solves
-    incrementally after a mutation using the network's
-    ``changed_signals`` log, falling back to full re-runs when the log
-    overflowed.
+    Properties solve lazily and memoize.  A solve after the network has
+    mutated raises :class:`RuntimeError`: the solutions describe the
+    version the bundle was built for, so a mutated network needs a new
+    bundle.
     """
 
     def __init__(self, network: Network):
@@ -50,48 +55,18 @@ class NetworkAnalyses:
         self._engine = FixpointEngine()
         self._results: dict[str, FixpointResult] = {}
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    @property
-    def stale(self) -> bool:
-        return self.network.version != self.version
-
-    def refresh(self) -> None:
-        """Re-solve whatever is already solved after a mutation."""
-        if not self.stale:
-            return
-        changed = self.network.changed_signals(self.version)
-        for key in list(self._results):
-            if key == "observability":
-                # Depends on the constants solution; recompute whole.
-                del self._results[key]
-                continue
-            analysis = self._make(key)
-            self._results[key] = self._engine.update(
-                self.network, analysis, self._results[key], changed)
-        self.version = self.network.version
-
-    def _make(self, key: str):
-        if key == "constants":
-            return ConstantAnalysis()
-        if key == "unateness":
-            return UnatenessAnalysis()
-        if key == "probability":
-            return ProbabilityIntervalAnalysis()
-        if key == "structure":
-            return StructuralHashAnalysis()
-        raise KeyError(key)
-
     def _solve(self, key: str) -> FixpointResult:
-        if self.stale:
-            self.refresh()
+        if self.network.version != self.version:
+            raise RuntimeError(
+                f"network {self.network.name!r} mutated since its "
+                f"analyses were built (version {self.version} -> "
+                f"{self.network.version}); build a new NetworkAnalyses")
         result = self._results.get(key)
         if result is None:
             if key == "observability":
                 analysis = ObservabilityAnalysis(self.constants)
             else:
-                analysis = self._make(key)
+                analysis = _FORWARD_ANALYSES[key]()
             result = self._engine.run(self.network, analysis)
             self._results[key] = result
         return result

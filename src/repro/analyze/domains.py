@@ -3,8 +3,8 @@
 Every analysis here is *sound by over-approximation*: a definite answer
 (constant value, unateness direction, probability bound, structural
 equality, unobservability) is a theorem about the circuit; "top" only
-ever means "unknown".  That is what lets the static implication proofs
-and the analysis-backed lint rules act on these results soundly.
+ever means "unknown".  That is what lets the analysis-backed lint rules
+act on these results soundly.
 
 Domains:
 
@@ -424,28 +424,3 @@ def unread_fanin_positions(network: Network) -> dict[str, list[int]]:
         if dead:
             unread[name] = dead
     return unread
-
-
-# ----------------------------------------------------------------------
-# Syntactic cover comparison (shared with the static discharger)
-# ----------------------------------------------------------------------
-def cover_implies(a: Cover, b: Cover) -> bool | None:
-    """Does cover ``a`` imply cover ``b``?  True is a proof; None is
-    "could not decide cheaply" (never False — refutation is not this
-    helper's job).
-
-    Two tiers: single-cube containment (every a-cube inside some
-    b-cube — linear, catches dropped-cube approximations), then the
-    exact unate-recursive check on covers small enough to afford it.
-    """
-    if a.is_zero():
-        return True
-    if any(c.num_literals == 0 for c in b.cubes):
-        return True
-    if all(any(bc.contains(ac) for bc in b.cubes) for ac in a.cubes):
-        return True
-    if (a.n <= TAUT_VAR_LIMIT
-            and len(a.cubes) + len(b.cubes) <= TAUT_CUBE_LIMIT):
-        if a.implies(b):
-            return True
-    return None

@@ -1,11 +1,12 @@
-"""The generic worklist fixpoint engine over :class:`Network` DAGs.
+"""The fixpoint engine over :class:`Network` DAGs.
 
 An analysis plugs in a lattice plus transfer functions; the engine owns
-iteration order, change detection, and incremental re-solving.  On the
-acyclic networks of this repo a forward analysis converges in a single
-topological sweep, but the engine is written as a worklist loop so that
-non-monotone-looking updates (and any future cyclic extensions) still
-terminate at the least fixpoint rather than silently under-iterating.
+the evaluation order.  The networks of this repo are acyclic, so one
+sweep reaches the least fixpoint: a forward analysis visits every node
+once in topological order, after all of its fanins; a backward analysis
+visits every node in reverse topological order, then every PI, each
+after all of its readers.  A solve is always from scratch: a
+:class:`FixpointResult` describes the network version it was run on.
 
 Two analysis shapes are supported:
 
@@ -18,16 +19,10 @@ Two analysis shapes are supported:
   the nodes reading ``signal``, passed as ``(reader_node,
   reader_value)`` pairs, and is responsible for seeding PO membership
   itself (it can see ``network.outputs``); ``boundary`` is unused.
-
-:meth:`FixpointEngine.update` re-solves after a mutation given the
-previous solution and the set of touched signals (the network's
-``changed_signals`` feed), recomputing only the affected fanout (or
-fanin, for backward analyses) closure.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass, field
 
@@ -63,163 +58,44 @@ class FixpointResult:
     analysis: str
     values: dict[str, object]
     transfers: int = 0
-    iterations: int = 0
     seconds: float = 0.0
-    incremental: bool = False
     stats: dict = field(default_factory=dict)
 
     def cost(self) -> dict:
         return {
             "analysis": self.analysis,
             "transfers": self.transfers,
-            "iterations": self.iterations,
             "seconds": round(self.seconds, 6),
-            "incremental": self.incremental,
         }
 
 
 class FixpointEngine:
-    """Worklist solver; one instance is stateless and reusable."""
+    """One-sweep solver; one instance is stateless and reusable."""
 
     def run(self, network: Network,
             analysis: DataflowAnalysis) -> FixpointResult:
         start = time.perf_counter()
+        values: dict[str, object] = {}
         if analysis.direction == "forward":
-            result = self._solve_forward(network, analysis, None, None)
+            for pi in network.inputs:
+                values[pi] = analysis.boundary(network, pi)
+            order = network.topological_order()
+            for name in order:
+                fanin_values = [values.get(f, BOTTOM)
+                                for f in network.nodes[name].fanins]
+                values[name] = analysis.transfer(network, name,
+                                                 fanin_values)
         elif analysis.direction == "backward":
-            result = self._solve_backward(network, analysis, None, None)
+            fanouts = network.fanouts()
+            order = network.reverse_topological_order() \
+                + list(network.inputs)
+            for name in order:
+                readers = [(r, values.get(r, BOTTOM))
+                           for r in fanouts.get(name, ())]
+                values[name] = analysis.transfer(network, name, readers)
         else:
             raise ValueError(
                 f"unknown analysis direction {analysis.direction!r}")
-        result.seconds = time.perf_counter() - start
-        return result
-
-    def update(self, network: Network, analysis: DataflowAnalysis,
-               previous: FixpointResult,
-               changed: frozenset[str] | None) -> FixpointResult:
-        """Re-solve after a mutation.
-
-        ``changed`` is the network's ``changed_signals`` answer since
-        the previous solve: ``None`` (unknown scope) forces a full
-        re-run; otherwise only the dependency closure of the touched
-        signals is recomputed, reusing every other previous value.
-        """
-        if changed is None:
-            return self.run(network, analysis)
-        start = time.perf_counter()
-        seed = {s for s in changed if network.signal_exists(s)}
-        base = {s: v for s, v in previous.values.items()
-                if network.signal_exists(s) and s not in seed}
-        if analysis.direction == "forward":
-            result = self._solve_forward(network, analysis, base, seed)
-        else:
-            result = self._solve_backward(network, analysis, base, seed)
-        result.seconds = time.perf_counter() - start
-        result.incremental = True
-        return result
-
-    # ------------------------------------------------------------------
-    # Forward
-    # ------------------------------------------------------------------
-    def _solve_forward(self, network: Network,
-                       analysis: DataflowAnalysis,
-                       base: dict | None,
-                       seed: set[str] | None) -> FixpointResult:
-        values: dict[str, object] = {}
-        transfers = iterations = 0
-        fanouts = network.fanouts()
-        topo = network.topological_order()
-        position = {name: i for i, name in enumerate(topo)}
-        for pi in network.inputs:
-            values[pi] = analysis.boundary(network, pi)
-        if base is None:
-            pending = list(topo)
-        else:
-            # Incremental: keep prior values, recompute the fanout
-            # closure of the seed in topological order.
-            for name, value in base.items():
-                if name not in values:
-                    values[name] = value
-            closure: set[str] = set()
-            stack = [s for s in (seed or ()) if s in network.nodes]
-            while stack:
-                name = stack.pop()
-                if name in closure:
-                    continue
-                closure.add(name)
-                stack.extend(r for r in fanouts.get(name, ())
-                             if r not in closure)
-            pending = list(closure)
-        heap = [(position[n], n) for n in pending]
-        heapq.heapify(heap)
-        in_list = set(pending)
-        while heap:
-            iterations += 1
-            _, name = heapq.heappop(heap)
-            in_list.discard(name)
-            node = network.nodes[name]
-            fanin_values = [values.get(f, BOTTOM) for f in node.fanins]
-            transfers += 1
-            new = analysis.transfer(network, name, fanin_values)
-            if values.get(name, BOTTOM) == new and name in values:
-                continue
-            values[name] = new
-            for reader in fanouts.get(name, ()):
-                if reader not in in_list:
-                    heapq.heappush(heap, (position[reader], reader))
-                    in_list.add(reader)
         return FixpointResult(analysis=analysis.name, values=values,
-                              transfers=transfers, iterations=iterations)
-
-    # ------------------------------------------------------------------
-    # Backward
-    # ------------------------------------------------------------------
-    def _solve_backward(self, network: Network,
-                        analysis: DataflowAnalysis,
-                        base: dict | None,
-                        seed: set[str] | None) -> FixpointResult:
-        values: dict[str, object] = {}
-        transfers = iterations = 0
-        fanouts = network.fanouts()
-        order = network.reverse_topological_order() + list(network.inputs)
-        position = {name: i for i, name in enumerate(order)}
-        if base is None:
-            pending = list(order)
-        else:
-            for name, value in base.items():
-                values[name] = value
-            # A touched node invalidates the values of everything in
-            # its transitive fanin (information flows output-to-input).
-            closure: set[str] = set()
-            stack = list(seed or ())
-            while stack:
-                name = stack.pop()
-                if name in closure:
-                    continue
-                closure.add(name)
-                if name in network.nodes:
-                    stack.extend(network.nodes[name].fanins)
-            for name in closure:
-                values.pop(name, None)
-            pending = [n for n in closure if n in position]
-        heap = [(position[n], n) for n in pending]
-        heapq.heapify(heap)
-        in_list = set(pending)
-        while heap:
-            iterations += 1
-            _, name = heapq.heappop(heap)
-            in_list.discard(name)
-            readers = [(r, values.get(r, BOTTOM))
-                       for r in fanouts.get(name, ())]
-            transfers += 1
-            new = analysis.transfer(network, name, readers)
-            if values.get(name, BOTTOM) == new and name in values:
-                continue
-            values[name] = new
-            if name in network.nodes:
-                for fanin in network.nodes[name].fanins:
-                    if fanin not in in_list:
-                        heapq.heappush(heap, (position[fanin], fanin))
-                        in_list.add(fanin)
-        return FixpointResult(analysis=analysis.name, values=values,
-                              transfers=transfers, iterations=iterations)
+                              transfers=len(order),
+                              seconds=time.perf_counter() - start)

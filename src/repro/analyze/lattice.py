@@ -17,9 +17,6 @@ The concrete domains:
   subset; used for polarity/unateness (may-depend-positively,
   may-depend-negatively masks over PI indices) and for observability
   masks over PO indices.
-* :class:`RelationLattice` — EQ < {LE, GE} < TOP; used by the
-  static-discharge relational analysis between an original network and
-  its approximation.
 """
 
 from __future__ import annotations
@@ -154,65 +151,3 @@ class BitsetPairLattice(Lattice):
 
     def leq(self, a, b) -> bool:
         return (a[0] | b[0]) == b[0] and (a[1] | b[1]) == b[1]
-
-
-#: Relation-lattice elements: how an approximate signal compares with
-#: its original counterpart on every shared-PI assignment.
-REL_EQ = "eq"    # always equal
-REL_LE = "le"    # approx <= original (approx implies original)
-REL_GE = "ge"    # approx >= original (original implies approx)
-REL_TOP = "top"  # unknown
-
-_REL_RANK = {REL_EQ: 0, REL_LE: 1, REL_GE: 1, REL_TOP: 2}
-
-
-class RelationLattice(Lattice):
-    """EQ below LE and GE, both below TOP (BOTTOM = unreached)."""
-
-    @property
-    def bottom(self):
-        return BOTTOM
-
-    @property
-    def top(self):
-        return REL_TOP
-
-    def join(self, a, b):
-        if a is BOTTOM:
-            return b
-        if b is BOTTOM:
-            return a
-        if a == b:
-            return a
-        if REL_EQ in (a, b):
-            return b if a == REL_EQ else a
-        return REL_TOP  # LE join GE
-
-    def leq(self, a, b) -> bool:
-        if a is BOTTOM or a == b or b == REL_TOP:
-            return True
-        return a == REL_EQ and b in (REL_LE, REL_GE)
-
-
-def compose_relations(first: str, second: str) -> str:
-    """Transitive composition: a R1 b and b R2 c gives a (R1;R2) c.
-
-    EQ is the identity; LE;LE = LE, GE;GE = GE; mixing LE with GE (or
-    anything with TOP) yields TOP.
-    """
-    if first == REL_EQ:
-        return second
-    if second == REL_EQ:
-        return first
-    if first == second and first in (REL_LE, REL_GE):
-        return first
-    return REL_TOP
-
-
-def flip_relation(rel: str) -> str:
-    """The relation seen through one negative (inverting) level."""
-    if rel == REL_LE:
-        return REL_GE
-    if rel == REL_GE:
-        return REL_LE
-    return rel

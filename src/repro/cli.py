@@ -361,7 +361,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
           f"binate {unate['binate_po_inputs']} (PO/PI pairs)")
     for cost in doc["fixpoint"]:
         print(f"  fixpoint {cost['analysis']:<13} "
-              f"{cost['iterations']:>5} iters  "
+              f"{cost['transfers']:>5} transfers  "
               f"{cost['seconds']*1000:8.2f} ms")
     return 0
 

@@ -22,8 +22,8 @@ retrying exactly once with a from-scratch build before letting
 What a context keeps across flows: only its content-keyed memos
 (probabilities, switching activity), its hit/miss counters and its
 attached proof cache.  ``run_ced_flow`` calls :meth:`release` when it
-ends, dropping the pair BDDs, dataflow bundles and digest memos, which
-are keyed on the identity of networks no later flow will see.
+ends, dropping the pair BDDs and digest memos, which are keyed on the
+identity of networks no later flow will see.
 """
 
 from __future__ import annotations
@@ -35,12 +35,9 @@ from repro.network import GlobalBdds, Network, dfs_input_order
 from repro.sim import (get_simulator, signal_probabilities,
                        simulator_cache_stats, switching_activity)
 
-#: Artifact kinds tracked by the hit/miss counters.  There is no
-#: static-discharge kind: ``repro.analyze`` serves lint and ``cli
-#: analyze`` only, because on the flow path each discharged query just
-#: skipped one cheap ``implies`` on pair BDDs that already existed
-#: (cold dalu + i10: 27.4 s with the rung, 16.0 s without; DESIGN.md
-#: §15).
+#: Artifact kinds tracked by the hit/miss counters.  The dataflow
+#: analyses of ``repro.analyze`` are not a kind: flows never run them,
+#: and lint builds one bundle per network it checks.
 CACHE_KINDS = ("global_bdds", "simulator", "probabilities",
                "switching", "checkpoint", "proofs")
 
@@ -115,9 +112,6 @@ class AnalysisContext:
         #: the iterative checker and lint for per-PO implication
         #: verdicts; ``None`` (the default) keeps flows hermetic.
         self.proofs = None
-        #: Per-object memo of :class:`repro.analyze.NetworkAnalyses`
-        #: bundles (the dataflow solutions lint rules share).
-        self._analyses: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     # Instrumentation
@@ -159,17 +153,16 @@ class AnalysisContext:
     def release(self) -> None:
         """Drop the state keyed on live objects of the flow just run.
 
-        The pair-BDD manager, the overflow verdicts, the dataflow
-        bundles and the digest memo all match on object identity, so
-        once a flow's networks are gone nothing can hit them; dropping
-        them lets the networks (and the simulator tapes cached for
-        them) be freed.  The content-keyed memos and ``proofs`` stay:
-        an equal circuit parsed again still hits those.
+        The pair-BDD manager, the overflow verdicts and the digest
+        memo all match on object identity, so once a flow's networks
+        are gone nothing can hit them; dropping them lets the networks
+        (and the simulator tapes cached for them) be freed.  The
+        content-keyed memos and ``proofs`` stay: an equal circuit
+        parsed again still hits those.
         """
         self._pair = None
         self._o_entry = None
         self._o_fail = None
-        self._analyses.clear()
         self._tokens.clear()
 
     def bdd_nodes(self) -> int | None:
@@ -311,30 +304,6 @@ class AnalysisContext:
     def _drop_prefix(bdds: GlobalBdds, prefix: str) -> None:
         for key in [k for k in bdds.functions if k.startswith(prefix)]:
             del bdds.functions[key]
-
-    # ------------------------------------------------------------------
-    # Dataflow analyses (repro.analyze)
-    # ------------------------------------------------------------------
-    def analyses(self, network: Network):
-        """Version-refreshed :class:`~repro.analyze.NetworkAnalyses`.
-
-        One bundle per live network object; a mutated network gets its
-        fixpoint solutions updated incrementally rather than re-solved.
-        Bundles carry no verdicts of their own (the analyses are pure
-        functions of the network content), so sharing them cannot
-        change any downstream result — only skip recomputation.
-        """
-        from repro.analyze import NetworkAnalyses
-        obj = id(network)
-        entry = self._analyses.get(obj)
-        if self.enabled and entry is not None and entry[0] is network:
-            bundle = entry[1]
-            bundle.refresh()
-            return bundle
-        bundle = NetworkAnalyses(network)
-        if self.enabled:
-            self._analyses[obj] = (network, bundle)
-        return bundle
 
     # ------------------------------------------------------------------
     # Simulators / probabilities / switching activity

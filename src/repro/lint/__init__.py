@@ -10,11 +10,10 @@ Three rule layers over the approximation/CED flow:
 3. **flow** (``flow.*``) — non-intrusiveness and checker/TRC-tree
    well-formedness of an assembled CED circuit (Sec 3).
 
-Layers 1 and 2 are augmented by dataflow-backed rules
+Layer 1 is augmented by dataflow-backed rules
 (:mod:`repro.lint.analyzerules`) that consume :mod:`repro.analyze`
 fixpoint solutions: provably-constant nodes, SDC-dead cubes,
-structurally duplicate cones, unobservable logic, and statically
-discharged (or refuted) implications.
+structurally duplicate cones, unobservable logic and stuck outputs.
 
 Proved implications are emitted as self-contained, offline-checkable
 certificates (:mod:`repro.lint.certificates`), and whole reports

@@ -6,11 +6,9 @@ syntactic well-formedness; the rules here consume *fixpoint solutions*
 computation) and therefore see facts no single-node inspection can:
 nodes whose function is provably constant, cubes that can never fire,
 cones that are byte-identical duplicates, logic masked at every primary
-output.  The pair-scope rules drive the :class:`~repro.analyze.
-StaticDischarger` directly, reporting how much of the paper's Sec 2.2
-implication obligation the analyses alone settle — and flagging outright
-static *refutations* of a claimed-correct run, which are contradictions
-no budget can excuse.
+output.  All of them are network-scope rules: the paper's Sec 2.2
+implication obligation is re-proved exactly by ``pair.po-implication``
+(:mod:`repro.lint.approxrules`), not by these analyses.
 """
 
 from __future__ import annotations
@@ -117,59 +115,3 @@ def const_po(ctx, emit):
                   "collapsed the whole cone",
              data={"constant": constants[po]})
 
-
-@rule("pair.statically-implied", "pair", Severity.INFO,
-      "report the implications the static analyses discharge")
-def statically_implied(ctx, emit):
-    discharger = ctx.static()
-    if discharger is None:
-        return
-    proved = []
-    for po in ctx.original.outputs:
-        direction = ctx.directions.get(po)
-        if direction not in (0, 1):
-            continue
-        if not ctx.approx.signal_exists(po):
-            continue
-        proof = discharger.implication(po, direction)
-        if proof.holds is True \
-                and proof.reason not in ("shared-pi", "struct-eq"):
-            # Trivially-equal cones (untouched by the approximation)
-            # would drown the report; only genuine approximation
-            # discharges (constants, directional relations) are news.
-            proved.append({"po": po, "direction": direction,
-                           "reason": proof.reason})
-    if proved:
-        emit(f"{len(proved)} of {len(ctx.original.outputs)} per-PO "
-             f"implications are discharged by static analysis alone "
-             f"(no BDD/SAT needed)",
-             data={"discharged": proved,
-                   "stats": discharger.discharge_rate()})
-
-
-@rule("pair.static-conflict", "pair", Severity.ERROR,
-      "static analysis never refutes a claimed-correct implication")
-def static_conflict(ctx, emit):
-    discharger = ctx.static()
-    if discharger is None:
-        return
-    for po in ctx.original.outputs:
-        direction = ctx.directions.get(po)
-        if direction not in (0, 1):
-            continue
-        if not ctx.approx.signal_exists(po):
-            continue
-        proof = discharger.implication(po, direction)
-        if proof.holds is not False:
-            continue
-        condition = "G => F" if direction == 1 else "F => G"
-        claimed = ctx.claimed_correct.get(po, True)
-        emit(f"output {po!r}: implication {condition} is statically "
-             f"refuted ({proof.reason}) "
-             f"{'yet the run claims correctness' if claimed else ''}",
-             location=f"po:{po}",
-             severity=Severity.ERROR if claimed else Severity.WARNING,
-             hint="both cones are proven constant with conflicting "
-                  "values; every input assignment is a counterexample",
-             data={"reason": proof.reason, "detail": proof.detail,
-                   "witness": proof.witness})

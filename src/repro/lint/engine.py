@@ -130,7 +130,6 @@ class PairContext:
         #: The lint run's own re-measurement (ErrorEvaluation), filled
         #: by the error-bound rules; feeds certificate emission.
         self._error_evaluation = None
-        self._static = None
         self._semantics: PairSemantics | None = None
 
     def semantics(self) -> PairSemantics:
@@ -142,26 +141,6 @@ class PairContext:
                 sat_conflict_budget=self.sat_conflict_budget,
                 ctx=self.ctx)
         return self._semantics
-
-    def static(self):
-        """Lazy :class:`~repro.analyze.StaticDischarger` for the pair.
-
-        Returns None when the networks do not share a primary-input
-        space (the analyses compare signals by name).
-        """
-        if self._static is None:
-            if set(self.original.inputs) != set(self.approx.inputs):
-                return None
-            from repro.analyze import StaticDischarger
-            if self.ctx is not None:
-                self._static = StaticDischarger(
-                    self.original, self.approx,
-                    self.ctx.analyses(self.original),
-                    self.ctx.analyses(self.approx))
-            else:
-                self._static = StaticDischarger(self.original,
-                                                self.approx)
-        return self._static
 
 
 class FlowContext:

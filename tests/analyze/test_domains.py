@@ -12,9 +12,8 @@ the same function, and dead cones really are unobservable.
 import random
 
 from repro.analyze import NetworkAnalyses
-from repro.analyze.domains import cover_implies, cones_structurally_equal
+from repro.analyze.domains import cones_structurally_equal
 from repro.analyze.lattice import BOTTOM, TOP
-from repro.cubes import Cover
 
 from .helpers import cube_fires, eval_all, eval_cover, random_network
 
@@ -123,33 +122,3 @@ def test_unread_fanins_do_not_matter():
                     flipped = list(fanin_values)
                     flipped[i] ^= 1
                     assert eval_cover(node.cover, flipped) == base
-
-
-def test_cover_implies_is_a_proof():
-    rng = random.Random(99)
-    proofs = 0
-    for _ in range(200):
-        n = rng.randint(1, 4)
-        a = Cover.from_strings(sorted({
-            "".join(rng.choice("01-") for _ in range(n))
-            for _ in range(rng.randint(1, 3))}))
-        b = Cover.from_strings(sorted({
-            "".join(rng.choice("01-") for _ in range(n))
-            for _ in range(rng.randint(1, 3))}))
-        verdict = cover_implies(a, b)
-        if verdict is None:
-            continue
-        assert verdict is True  # the helper never refutes
-        proofs += 1
-        for bits in range(1 << n):
-            values = [(bits >> i) & 1 for i in range(n)]
-            assert eval_cover(a, values) <= eval_cover(b, values)
-    assert proofs > 20
-
-
-def test_cover_implies_decides_dropped_cube_shapes():
-    full = Cover.from_strings(["1-", "-1"])
-    dropped = Cover.from_strings(["11"])
-    assert cover_implies(dropped, full) is True
-    assert cover_implies(Cover.zero(2), full) is True
-    assert cover_implies(full, dropped) is None

@@ -1,81 +1,29 @@
-"""Fixpoint engine: full solves, incremental re-solves, cost records."""
+"""Fixpoint engine: one-sweep solves, cost records, version binding."""
 
 import random
 
 import pytest
 
-from repro.analyze.domains import (ConstantAnalysis,
-                                   ObservabilityAnalysis,
-                                   UnatenessAnalysis)
+from repro.analyze import NetworkAnalyses
+from repro.analyze.domains import ConstantAnalysis
 from repro.analyze.fixpoint import (DataflowAnalysis, FixpointEngine,
                                     FixpointResult)
 from repro.cubes import Cover
 
 from .helpers import random_network
 
-ANALYSES = [ConstantAnalysis, UnatenessAnalysis, ObservabilityAnalysis]
-
-
-def _ids(cls):
-    return cls.name
-
-
-@pytest.mark.parametrize("analysis_cls", ANALYSES, ids=_ids)
-def test_incremental_update_matches_full_solve(analysis_cls):
+def test_network_analyses_refuse_a_mutated_network():
     rng = random.Random(7)
-    engine = FixpointEngine()
-    for trial in range(20):
-        net = random_network(rng, n_inputs=4, n_nodes=7,
-                             name=f"inc{trial}")
-        analysis = analysis_cls()
-        previous = engine.run(net, analysis)
-        v0 = net.version
-        victim = rng.choice(sorted(net.nodes))
-        width = len(net.nodes[victim].fanins)
-        net.replace_cover(victim, Cover.from_strings(
-            ["".join(rng.choice("01-") for _ in range(width))])
-            if width else Cover.zero(0))
-        changed = net.changed_signals(v0)
-        assert changed is not None and victim in changed
-        incremental = engine.update(net, analysis, previous, changed)
-        full = engine.run(net, analysis)
-        assert incremental.values == full.values, \
-            f"{analysis.name} diverged on trial {trial} ({victim})"
-        assert incremental.incremental is True
-        assert full.incremental is False
-
-
-def test_unknown_change_scope_forces_full_run():
-    rng = random.Random(1)
-    net = random_network(rng)
-    engine = FixpointEngine()
-    analysis = ConstantAnalysis()
-    previous = engine.run(net, analysis)
-    result = engine.update(net, analysis, previous, None)
-    assert result.incremental is False
-    assert result.values == previous.values
-
-
-def test_incremental_does_less_work_on_a_long_chain():
-    from repro.cubes import Cube
-    from repro.network import Network
-    net = Network("chain")
-    net.add_input("a")
-    prev = "a"
-    for i in range(40):
-        net.add_node(f"n{i}", [prev], Cover(1, [Cube.from_string("1")]))
-        prev = f"n{i}"
-    net.add_output(prev)
-    engine = FixpointEngine()
-    analysis = ConstantAnalysis()
-    previous = engine.run(net, analysis)
-    v0 = net.version
-    # Touch the tail: only the last node's (empty) fanout closure and
-    # itself need recomputing, not the whole chain.
-    net.replace_cover("n39", Cover.from_strings(["0"]))
-    result = engine.update(net, analysis, previous,
-                           net.changed_signals(v0))
-    assert result.transfers < previous.transfers / 4
+    net = random_network(rng, n_inputs=4, n_nodes=7, name="mutated")
+    bundle = NetworkAnalyses(net)
+    assert bundle.constants is not None   # solved and memoized
+    victim = sorted(net.nodes)[0]
+    net.replace_cover(victim, Cover.zero(len(net.nodes[victim].fanins)))
+    for solution in ("constants", "unateness", "observability"):
+        with pytest.raises(RuntimeError, match="mutated"):
+            getattr(bundle, solution)
+    fresh = NetworkAnalyses(net)
+    assert fresh.constants[victim] == 0
 
 
 def test_cost_record_shape():
@@ -83,10 +31,9 @@ def test_cost_record_shape():
     net = random_network(rng)
     result = FixpointEngine().run(net, ConstantAnalysis())
     cost = result.cost()
-    assert set(cost) == {"analysis", "transfers", "iterations",
-                         "seconds", "incremental"}
+    assert set(cost) == {"analysis", "transfers", "seconds"}
     assert cost["analysis"] == "constants"
-    assert cost["transfers"] >= len(net.nodes)
+    assert cost["transfers"] == len(net.nodes)
     assert cost["seconds"] >= 0.0
 
 

@@ -1,12 +1,9 @@
-"""Lattice laws and the relation algebra of the analyze package."""
+"""Lattice laws of the analyze package."""
 
 import pytest
 
-from repro.analyze.lattice import (BOTTOM, REL_EQ, REL_GE, REL_LE,
-                                   REL_TOP, TOP, BitsetPairLattice,
-                                   FlatLattice, IntervalLattice,
-                                   RelationLattice, compose_relations,
-                                   flip_relation)
+from repro.analyze.lattice import (BOTTOM, TOP, BitsetPairLattice,
+                                   FlatLattice, IntervalLattice)
 
 SAMPLES = {
     "flat": (FlatLattice(), [BOTTOM, 0, 1, "h", TOP]),
@@ -15,8 +12,6 @@ SAMPLES = {
                   (0.0, 1.0)]),
     "bitset": (BitsetPairLattice(3),
                [(0, 0), (1, 0), (0, 5), (3, 4), (7, 7)]),
-    "relation": (RelationLattice(),
-                 [BOTTOM, REL_EQ, REL_LE, REL_GE, REL_TOP]),
 }
 
 
@@ -61,30 +56,3 @@ def test_bitset_width_validation():
     with pytest.raises(ValueError):
         BitsetPairLattice(-1)
     assert BitsetPairLattice(0).top == (0, 0)
-
-
-def test_relation_join_table():
-    rel = RelationLattice()
-    assert rel.join(REL_EQ, REL_LE) == REL_LE
-    assert rel.join(REL_EQ, REL_GE) == REL_GE
-    assert rel.join(REL_LE, REL_GE) == REL_TOP
-    assert rel.leq(REL_EQ, REL_LE)
-    assert not rel.leq(REL_LE, REL_EQ)
-    assert not rel.leq(REL_LE, REL_GE)
-
-
-def test_compose_relations():
-    assert compose_relations(REL_EQ, REL_LE) == REL_LE
-    assert compose_relations(REL_GE, REL_EQ) == REL_GE
-    assert compose_relations(REL_LE, REL_LE) == REL_LE
-    assert compose_relations(REL_GE, REL_GE) == REL_GE
-    assert compose_relations(REL_LE, REL_GE) == REL_TOP
-    assert compose_relations(REL_TOP, REL_EQ) == REL_TOP
-    assert compose_relations(REL_EQ, REL_EQ) == REL_EQ
-
-
-def test_flip_relation():
-    assert flip_relation(REL_LE) == REL_GE
-    assert flip_relation(REL_GE) == REL_LE
-    assert flip_relation(REL_EQ) == REL_EQ
-    assert flip_relation(REL_TOP) == REL_TOP

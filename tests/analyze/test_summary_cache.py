@@ -4,8 +4,12 @@ import json
 import sys
 import threading
 
-from repro.analyze import (analyze_network, load_cached_summary,
-                           store_summary, summary_token)
+import pytest
+
+from repro.analyze import (ANALYZE_SCHEMA, analyze_network,
+                           load_cached_summary, store_summary,
+                           summary_token)
+from repro.lab.cache import JsonStore
 from repro.lab.tasks import load_circuit
 
 THREADS = 8
@@ -51,13 +55,28 @@ def test_threaded_same_key_writes_never_tear(tmp_path):
     assert load_cached_summary(cache_dir, network) == doc
 
 
-def test_corrupt_summary_is_evicted(tmp_path):
+def _bump_nodes(entry):
+    entry["nodes"] += 1                   # digest no longer matches
+
+
+def _stale_schema(entry):
+    # A self-consistent entry written under an older summary format
+    # (schema 1 carried "iterations" and "incremental" cost keys).
+    entry["schema"] = ANALYZE_SCHEMA - 1
+    for cost in entry["fixpoint"]:
+        cost.update(iterations=cost["transfers"], incremental=False)
+    entry["digest"] = JsonStore._digest(entry)
+
+
+@pytest.mark.parametrize("damage", [_bump_nodes, _stale_schema],
+                         ids=["corrupt", "stale-schema"])
+def test_corrupt_summary_is_evicted(tmp_path, damage):
     network = load_circuit("tiny")
     doc = analyze_network(network)
     path = store_summary(tmp_path, network, doc)
     assert path.name == f"{summary_token(network)}.json"
     entry = json.loads(path.read_text())
-    entry["nodes"] += 1                   # digest no longer matches
+    damage(entry)
     path.write_text(json.dumps(entry))
     assert load_cached_summary(tmp_path, network) is None
     assert not path.exists()

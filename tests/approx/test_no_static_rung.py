@@ -33,8 +33,6 @@ def _forbid(*args, **kwargs):
 @pytest.mark.parametrize("circuit", ["tiny", "cmb"])
 def test_flow_never_builds_analyses(circuit, with_cache, tmp_path,
                                     monkeypatch):
-    monkeypatch.setattr(repro.analyze.StaticDischarger, "__init__",
-                        _forbid)
     monkeypatch.setattr(repro.analyze.NetworkAnalyses, "__init__",
                         _forbid)
     result = run_ced_flow(
@@ -52,7 +50,7 @@ def _implication_entries(root):
             yield path.stem, entry
 
 
-def test_static_proof_cache_entries_are_reproved(tmp_path):
+def test_static_engine_cache_entries_are_reproved(tmp_path):
     root = tmp_path / "proofs"
     cold = run_ced_flow(tiny_benchmark(), proof_cache_dir=root, **FLOW_KW)
     cache = ProofCache(root)

@@ -1,9 +1,9 @@
 """A flow frees its identity-keyed analysis state when it ends.
 
-Pair BDDs, dataflow bundles and digest memos match on the live network
-object, so no later flow can hit them.  A context reused across flows
-(a serve worker, the warm benchmark) must not keep them, or its memory
-grows with every circuit it has seen.
+Pair BDDs and digest memos match on the live network object, so no
+later flow can hit them.  A context reused across flows (a serve
+worker, the warm benchmark) must not keep them, or its memory grows
+with every circuit it has seen.
 """
 
 import gc
@@ -31,7 +31,7 @@ def test_finished_flow_releases_its_network():
     flow = run_ced_flow(net, ctx=ctx, lint_level="warn")
     assert flow.lint is not None
     assert ctx.bdd_nodes() is None
-    assert not ctx._analyses and not ctx._tokens
+    assert not ctx._tokens
     ref = weakref.ref(net)
     del net, flow
     assert _collected(ref)

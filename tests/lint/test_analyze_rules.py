@@ -6,9 +6,8 @@ trigger the finding: functions that are constant only after
 propagation, cubes killed by SDCs, cones masked at every output.
 """
 
-from repro.approx import NodeType
 from repro.cubes import Cover, Cube
-from repro.lint import Severity, lint_network, lint_pair
+from repro.lint import Severity, lint_network
 from repro.network import Network
 
 from .helpers import and2, buf, chain, fired
@@ -117,67 +116,6 @@ def test_const_po_explicit_is_info():
     diags = fired(lint_network(net), "net.const-po")
     assert len(diags) == 1
     assert diags[0].severity is Severity.INFO
-
-
-def _pair_net(rows, name="pair"):
-    net = Network(name)
-    net.add_input("a")
-    net.add_input("b")
-    net.add_node("f", ["a", "b"], Cover.from_strings(rows))
-    net.add_output("f")
-    return net
-
-
-def test_statically_implied():
-    # approx = AND is contained in original = OR: the relational pass
-    # discharges G => F with no BDD/SAT.
-    report = lint_pair(_pair_net(["1-", "-1"]), _pair_net(["11"]),
-                       {"f": NodeType.ONE}, {"f": 1})
-    diags = fired(report, "pair.statically-implied")
-    assert len(diags) == 1
-    assert diags[0].severity is Severity.INFO
-    assert diags[0].data["discharged"] == \
-        [{"po": "f", "direction": 1, "reason": "relation"}]
-    assert diags[0].data["stats"]["discharged"] >= 1
-
-
-def test_statically_implied_quiet_on_identical_pair():
-    report = lint_pair(_pair_net(["11"]), _pair_net(["11"]),
-                       {"f": NodeType.EX}, {"f": 1})
-    assert fired(report, "pair.statically-implied") == []
-
-
-def test_static_conflict():
-    # original is the tautology, approx collapsed to constant 0, yet
-    # direction 0 claims F => G: statically refuted, claimed correct.
-    original = _pair_net(["--"])
-    approx = Network("pair")
-    approx.add_input("a")
-    approx.add_input("b")
-    approx.add_node("f", [], Cover.zero(0))
-    approx.add_output("f")
-    report = lint_pair(original, approx, {"f": NodeType.ZERO},
-                       {"f": 0}, claimed_method="bdd")
-    diags = fired(report, "pair.static-conflict")
-    assert len(diags) == 1
-    assert diags[0].severity is Severity.ERROR
-    assert diags[0].data["witness"] == {"a": False, "b": False}
-    assert not report.ok
-
-
-def test_static_conflict_downgrades_without_claim():
-    original = _pair_net(["--"])
-    approx = Network("pair")
-    approx.add_input("a")
-    approx.add_input("b")
-    approx.add_node("f", [], Cover.zero(0))
-    approx.add_output("f")
-    report = lint_pair(original, approx, {"f": NodeType.ZERO},
-                       {"f": 0}, claimed_method="sim",
-                       claimed_correct={"f": False})
-    diags = fired(report, "pair.static-conflict")
-    assert len(diags) == 1
-    assert diags[0].severity is Severity.WARNING
 
 
 def test_analyze_rules_skip_ill_formed_networks():

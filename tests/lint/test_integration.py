@@ -28,8 +28,7 @@ EXPECTED_RULES = {
     "pair.io-mismatch", "pair.direction-missing", "pair.direction-value",
     "pair.untyped-node", "pair.po-type", "pair.dc-read",
     "pair.ex-changed", "pair.direction-local", "pair.cube-unjustified",
-    "pair.po-implication", "pair.statically-implied",
-    "pair.static-conflict",
+    "pair.po-implication",
     "pair.error-bound", "pair.error-claim",
     "flow.direction-values", "flow.fault-sites", "flow.nonintrusive",
     "flow.output-preserved", "flow.checker-missing", "flow.trc-tree",

@@ -182,14 +182,34 @@ def test_po_implication_holds_quietly():
     assert fired(report, "pair.po-implication") == []
 
 
+def _refuted_pairs():
+    """(original, approx, types, directions, condition, witness) of
+    pairs whose claimed implication fails."""
+    # approx = OR over-approximates original = AND, yet direction 1
+    # claims G => F.
+    yield (_net(["11"]), _net(["1-", "-1"]), None, None, "G => F",
+           {"a": True, "b": False})
+    # original is the tautology, approx collapsed to constant 0, yet
+    # direction 0 claims F => G: every assignment is a counterexample.
+    collapsed = Network("pair")
+    collapsed.add_input("a")
+    collapsed.add_input("b")
+    collapsed.add_node("f", [], Cover.zero(0))
+    collapsed.add_output("f")
+    yield (_net(["--"]), collapsed, {"f": NodeType.ZERO}, {"f": 0},
+           "F => G", {"a": False, "b": False})
+
+
 def test_po_implication_refuted_error_when_proof_claimed():
-    diags = fired(_lint(_net(["11"]), _net(["1-", "-1"]),
-                        claimed_method="bdd"),
-                  "pair.po-implication")
-    assert len(diags) == 1
-    assert diags[0].severity is Severity.ERROR
-    assert "G => F" in diags[0].message
-    assert diags[0].data["witness"] is not None
+    for original, approx, types, directions, condition, witness \
+            in _refuted_pairs():
+        diags = fired(_lint(original, approx, types, directions,
+                            claimed_method="bdd"),
+                      "pair.po-implication")
+        assert len(diags) == 1
+        assert diags[0].severity is Severity.ERROR
+        assert condition in diags[0].message
+        assert diags[0].data["witness"] == witness
 
 
 def test_po_implication_refuted_warning_for_sim_claims():
@@ -201,12 +221,15 @@ def test_po_implication_refuted_warning_for_sim_claims():
 
 
 def test_po_implication_refuted_warning_when_admittedly_incorrect():
-    diags = fired(_lint(_net(["11"]), _net(["1-", "-1"]),
-                        claimed_method="bdd",
-                        claimed_correct={"f": False}),
-                  "pair.po-implication")
-    assert len(diags) == 1
-    assert diags[0].severity is Severity.WARNING
+    for original, approx, types, directions, _, witness \
+            in _refuted_pairs():
+        diags = fired(_lint(original, approx, types, directions,
+                            claimed_method="bdd",
+                            claimed_correct={"f": False}),
+                      "pair.po-implication")
+        assert len(diags) == 1
+        assert diags[0].severity is Severity.WARNING
+        assert diags[0].data["witness"] == witness
 
 
 def test_certificates_emitted_for_proved_implications():
